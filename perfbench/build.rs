@@ -1,0 +1,24 @@
+//! Records the compiler version and build profile for the host record
+//! every run prints.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    for (var, key) in [
+        ("PROFILE", "PERFBENCH_PROFILE"),
+        ("OPT_LEVEL", "PERFBENCH_OPT_LEVEL"),
+    ] {
+        let value = std::env::var(var).unwrap_or_else(|_| "unknown".to_string());
+        println!("cargo:rustc-env={key}={value}");
+    }
+    println!("cargo:rerun-if-changed=build.rs");
+}

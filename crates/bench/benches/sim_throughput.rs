@@ -180,11 +180,9 @@ fn speedup_vs(cells: &[(&'static str, f64)], reference: &Json) -> Json {
 /// section pins the structure-of-arrays refactor against the last
 /// pre-SoA run. Per-cell `speedup` is current/baseline.
 ///
-/// Sections this harness does not own (`scaling` and `phase_profile`
-/// from `parallel_scaling`, anything future) are merged through
-/// untouched — running `sim_throughput` then `parallel_scaling` once
-/// regenerates every section of the file; neither order leaves a stale
-/// cell behind.
+/// Sections this harness does not own (`recovery` from
+/// `recovery_headline`, anything future) are merged through untouched,
+/// so no run order leaves a stale cell behind.
 fn write_report(cells: &[(&'static str, f64)], rebaseline: bool) {
     let path = report_path();
     let current = cells_json(cells);

@@ -1,5 +1,5 @@
 //! Renders the observability dashboard: a metrics-registry snapshot on
-//! the golden 2×2 network plus a shard phase profile.
+//! the golden 2×2 network.
 //!
 //! Usage:
 //!
@@ -8,33 +8,23 @@
 //! obs_report --out <path>    # write the snapshot JSON somewhere else
 //! ```
 //!
-//! Two sections:
-//!
-//! 1. **Metrics registry** — the golden 2×2 telemetry configuration
-//!    (the same one `scripts/check.sh` pins byte-for-byte) runs 200
-//!    cycles with the registry enabled; every counter and histogram is
-//!    printed, and the deterministic snapshot (counters + p50/p99/p999,
-//!    integers only) is written as JSON. The committed copy under
-//!    `results/json/` is the `obs-smoke` gate's golden.
-//! 2. **Phase profile** — a 64-terminal hot-spot run on 4 lanes with
-//!    the wall-clock phase timer on, decomposing the stepping loop into
-//!    per-lane phase-A busy time, barrier wait, and serial phase-B
-//!    merge. Wall-clock varies run to run, so this section is printed
-//!    only and deliberately kept out of the snapshot file.
+//! The golden 2×2 telemetry configuration (the same one
+//! `scripts/check.sh` pins byte-for-byte) runs 200 cycles with the
+//! registry enabled; every counter and histogram is printed, and the
+//! deterministic snapshot (counters + p50/p99/p999, integers only) is
+//! written as JSON. The committed copy under `results/json/` is the
+//! `obs-smoke` gate's golden.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use damq_bench::json::Json;
 use damq_core::BufferKind;
-use damq_net::{NetworkConfig, NetworkSim, PhaseProfile, TrafficPattern};
+use damq_net::{NetworkConfig, NetworkSim};
 use damq_switch::FlowControl;
 
-/// Cycles for the deterministic registry section.
+/// Cycles the golden network runs.
 const CYCLES: u64 = 200;
-/// Lanes and cycles for the (non-deterministic) phase-profile section.
-const PROFILE_THREADS: usize = 4;
-const PROFILE_CYCLES: u64 = 200;
 
 /// The golden 2×2 configuration — must stay in lockstep with the
 /// `telemetry golden` gate in `scripts/check.sh`.
@@ -59,7 +49,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Section 1: the deterministic registry snapshot.
     let config = golden_config();
     let mut sim = NetworkSim::new(config)
         .expect("the golden 2x2 configuration is valid")
@@ -99,11 +88,6 @@ fn main() -> ExitCode {
     }
     println!();
     println!("wrote deterministic snapshot -> {}", out.display());
-
-    // Section 2: the wall-clock phase profile (printed only).
-    let profile = run_profiled_network();
-    println!();
-    render_profile(&profile);
     ExitCode::SUCCESS
 }
 
@@ -142,49 +126,4 @@ where
             h.mean()
         );
     }
-}
-
-/// Runs the paper-shaped hot-spot workload on several lanes with the
-/// phase timer on and returns the drained profile.
-fn run_profiled_network() -> PhaseProfile {
-    let config = NetworkConfig::new(64, 4)
-        .buffer_kind(BufferKind::Damq)
-        .slots_per_buffer(4)
-        .flow_control(FlowControl::Blocking)
-        .traffic(TrafficPattern::paper_hot_spot())
-        .offered_load(0.5)
-        .seed(0xBEEF);
-    let mut sim = NetworkSim::new(config)
-        .expect("the 64x4 hot-spot configuration is valid")
-        .with_threads(PROFILE_THREADS)
-        .with_phase_timing();
-    sim.run(PROFILE_CYCLES);
-    sim.phase_profile()
-}
-
-/// Prints the phase-profile section (wall-clock: varies run to run).
-fn render_profile(profile: &PhaseProfile) {
-    println!(
-        "phase profile: 64x4 hot-spot, {PROFILE_THREADS} lanes, {PROFILE_CYCLES} cycles \
-         (wall-clock; not part of the snapshot)"
-    );
-    let total = profile.total_ns().max(1);
-    for (lane, &busy) in profile.lane_busy_ns.iter().enumerate() {
-        println!(
-            "    lane {lane} phase-A busy {:>10} ns  ({:>5.1}% of accounted time)",
-            busy,
-            busy as f64 / total as f64 * 100.0
-        );
-    }
-    println!(
-        "    barrier wait        {:>10} ns  ({:>5.1}%)",
-        profile.barrier_wait_ns,
-        profile.barrier_share() * 100.0
-    );
-    println!(
-        "    phase-B merge       {:>10} ns  ({:>5.1}%)",
-        profile.merge_ns,
-        profile.merge_share() * 100.0
-    );
-    println!("    phases timed        {:>10}", profile.phases);
 }

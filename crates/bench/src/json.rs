@@ -139,7 +139,8 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonParseError`] on malformed input or trailing garbage.
+    /// Returns [`JsonParseError`] on malformed input, trailing garbage, or
+    /// arrays and objects nested more than [`MAX_DEPTH`] deep.
     ///
     /// # Examples
     ///
@@ -151,13 +152,14 @@ impl Json {
     /// ```
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(value)
@@ -293,11 +295,20 @@ impl Json {
     }
 }
 
-/// Recursive-descent parser over the raw bytes (JSON structure is ASCII;
-/// string contents pass through as UTF-8).
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the cap keeps hostile input (say
+/// 50,000 `[`) from overflowing the stack; every document this crate
+/// writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
+/// Recursive-descent parser. JSON structure is ASCII and is scanned as
+/// bytes; `pos` only ever advances over whole characters, so it stays on
+/// a `char` boundary of `text` and string contents are read as `char`s.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -310,7 +321,8 @@ impl Parser<'_> {
 
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
@@ -319,7 +331,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonParseError> {
@@ -332,7 +344,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -346,11 +358,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonParseError> {
@@ -428,9 +455,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
@@ -443,14 +469,12 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy the full UTF-8 character starting here.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("empty string tail"))?;
+                    // Copy the full character starting here.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("string splits a character"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -484,8 +508,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if integral {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -854,6 +877,37 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "reported at the first bracket too deep"
+        );
+        // 50,000 levels used to recurse once per bracket and abort.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+        let objects = "{\"a\":".repeat(50_000) + "1" + &"}".repeat(50_000);
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn multi_byte_utf8_strings_round_trip() {
+        let text = "é ß 日本語 🦀 a\u{0}b \u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}";
+        let doc = Json::obj([(text, Json::Arr(vec![Json::from(text)]))]);
+        for rendered in [doc.render(), doc.render_pretty()] {
+            assert_eq!(Json::parse(&rendered), Ok(doc.clone()));
+        }
+        // A long multi-byte string parses too (once per character, not
+        // once per remaining document byte).
+        let long = "日🦀".repeat(100_000);
+        assert_eq!(
+            Json::parse(&Json::from(long.as_str()).render()),
+            Ok(Json::from(long))
+        );
+    }
 
     #[test]
     fn scalars_render() {

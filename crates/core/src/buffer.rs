@@ -251,9 +251,8 @@ impl BufferConfig {
 /// The trait is object-safe so switches can hold `Box<dyn SwitchBuffer>`.
 ///
 /// `Send + Sync` are supertraits: buffers are plain owned data (no
-/// interior mutability in any design), and the sharded simulator hands
-/// disjoint `&mut Switch<B>` islands to worker threads while probing
-/// downstream switches through `&self` — see `docs/ARCHITECTURE.md`.
+/// interior mutability in any design), so switches can be moved to and
+/// shared with other threads, such as the sweep engine's workers.
 pub trait SwitchBuffer: fmt::Debug + Send + Sync {
     /// Which design this is.
     fn kind(&self) -> BufferKind;

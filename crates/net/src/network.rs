@@ -20,10 +20,6 @@
 //! packets always fly and are dropped at full buffers.
 
 use std::collections::VecDeque;
-// lint: allow — the phase profiler measures *harness* wall-clock (the
-// serial phase-B merge), never simulation state; cycle time in the
-// simulator is the logical `cycle` counter, not `Instant`.
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +35,6 @@ use damq_telemetry::{
 };
 
 use crate::metrics::NetMetrics;
-use crate::parallel::{DepartRecord, ParallelEngine, PhaseProfile, StageLane};
 use crate::topology::{HopRoute, RoutePlan, Topology, TopologyError, TopologyKind};
 use crate::traffic::TrafficPattern;
 
@@ -132,9 +127,7 @@ impl From<ConfigError> for NetworkError {
 ///
 /// Disabled by default — a `NetworkSim` without recovery behaves exactly
 /// as before this subsystem existed. All timers are **simulated network
-/// cycles**, never wall clock, so recovery is seed-stable and preserves
-/// the serial ≡ N-thread byte-identical contract (every recovery action
-/// runs in the serial sections of the cycle).
+/// cycles**, never wall clock, so recovery is seed-stable.
 ///
 /// # Examples
 ///
@@ -587,10 +580,8 @@ struct RetransmitEntry {
 /// per-hop sequence counters, and the believed link-health state that
 /// adaptive rerouting consults.
 ///
-/// Everything here is read by phase-A probes but **mutated only in the
-/// serial sections of the cycle** (`service_recovery`, phase-B merges,
-/// `inject`), which preserves the serial ≡ N-thread byte-identical
-/// contract.
+/// Arbitration probes only read it; it is mutated by `service_recovery`,
+/// the departure merges and `inject`.
 #[derive(Debug)]
 struct RecoveryState {
     config: RecoveryConfig,
@@ -701,42 +692,35 @@ impl RecoveryState {
             packet,
         });
     }
-
-    /// The read-only view phase-A probes take of recovery state.
-    fn view(&self) -> RecoveryView<'_> {
-        RecoveryView {
-            adaptive: self.config.adaptive,
-            believed_down_until: &self.believed_down_until,
-        }
-    }
 }
 
-/// Read-only phase-A view of recovery state: the adaptive flag and the
-/// believed link-health table. Only written in serial sections, so
-/// islands may read it freely (same argument as [`IdleView`]).
-#[derive(Clone, Copy)]
-struct RecoveryView<'a> {
-    adaptive: bool,
-    believed_down_until: &'a [u64],
+/// A departure collected while a stage arbitrates, applied when the
+/// stage's departures merge.
+///
+/// `route` carries the backpressure probe's parked [`HopRoute`] under
+/// the blocking protocol (so the merge routes each departure exactly
+/// once); it is `None` under discarding flow control, where only the
+/// merge routes.
+#[derive(Debug)]
+struct DepartRecord {
+    /// Switch index within the stage.
+    sw: usize,
+    /// The crossbar output the packet left through.
+    output: OutputPort,
+    /// The probe's parked route (blocking protocol only).
+    route: Option<HopRoute>,
+    /// The departing packet.
+    packet: Packet,
 }
 
-impl RecoveryView<'_> {
-    fn believed_down(&self, slot: usize, cycle: u64) -> bool {
-        self.believed_down_until[slot] > cycle
-    }
-}
-
-/// Read-only context shared by one stage's phase-A transmit probes:
-/// everything a switch needs to route a candidate departure and test
-/// downstream space. Every field is behind a shared reference (or
-/// `Copy`), so islands can probe concurrently — the route plan's query
-/// counter is atomic, fault state is only read (`link_down`), and
-/// downstream space is read from `caps`, the per-stage snapshot of
-/// [`Switch::accept_capacities_into`] taken in the serial section while
-/// the downstream stage is frozen (its own transmit and every merge
-/// into it are already done, and nothing touches it again until this
-/// stage's phase B), so one flat-array load answers the probe exactly
-/// as the live `can_accept` would.
+/// Read-only context shared by one stage's transmit probes: everything
+/// a switch needs to route a candidate departure and test downstream
+/// space. Downstream space is read from `caps`, the snapshot of
+/// [`Switch::accept_capacities_into`] taken before the stage
+/// arbitrates. The downstream stage is frozen from then until this
+/// stage's merge (its own transmit and every merge into it are already
+/// done), so one flat-array load answers the probe exactly as the live
+/// `can_accept` would.
 struct ProbeCtx<'a> {
     stage: usize,
     per_stage: usize,
@@ -748,30 +732,13 @@ struct ProbeCtx<'a> {
     /// `caps[(sw * radix + input) * radix + output]` = largest packet
     /// (slots) downstream switch `sw` accepts on that input/output pair.
     caps: &'a [u16],
-    idle: IdleView<'a>,
     /// Recovery's believed link health, for the adaptive probe (absent
     /// while recovery is off — the probe then behaves exactly as before
     /// recovery existed).
-    recovery: Option<RecoveryView<'a>>,
+    recovery: Option<&'a RecoveryState>,
 }
 
-/// Read-only phase-A view of one stage's slice of the quiescence map,
-/// plus the skip enable flag. The map is only written in the serial
-/// sections of the cycle (merge, inject), so islands may read it freely.
-#[derive(Clone, Copy)]
-struct IdleView<'a> {
-    enabled: bool,
-    map: &'a [bool],
-}
-
-impl IdleView<'_> {
-    /// Whether switch `sw` may take the idle fast path this cycle.
-    fn skip(&self, sw: usize) -> bool {
-        self.enabled && self.map[sw]
-    }
-}
-
-/// Phase-A departure sink for the last pipeline stage: terminals always
+/// Departure sink for the last pipeline stage: terminals always
 /// accept, so flow control never blocks and no route is parked.
 struct LastStageSink<'a> {
     sw: usize,
@@ -793,20 +760,16 @@ impl CycleSink for LastStageSink<'_> {
     }
 }
 
-/// Phase-A departure sink for interior stages. Under the blocking
-/// protocol the `can_send` probe routes the candidate, parks the route
-/// in the lane scratch, and tests the downstream link and space; each
-/// grant then moves the parked route onto its departure record, so phase
-/// B routes every departure exactly once — identical to the serial loop.
+/// Departure sink for interior stages. Under the blocking protocol the
+/// `can_send` probe routes the candidate, parks the route in the
+/// scratch, and tests the downstream link and space; each grant then
+/// moves the parked route onto its departure record, so the merge never
+/// routes a probed departure a second time.
 struct InteriorStageSink<'a, 'b> {
     sw: usize,
     ctx: &'a ProbeCtx<'b>,
     scratch: &'a mut [Option<HopRoute>],
     records: &'a mut Vec<DepartRecord>,
-    /// Route queries made by this switch's probes, flushed to the plan's
-    /// counter in one batched add after the cycle (see
-    /// [`RoutePlan::count_queries`]).
-    probes: u64,
 }
 
 impl CycleSink for InteriorStageSink<'_, '_> {
@@ -818,10 +781,9 @@ impl CycleSink for InteriorStageSink<'_, '_> {
         // A grant through `output` always takes the packet probed here
         // most recently (the crossbar skips taken outputs), so the parked
         // route is the granted packet's when `depart` fires.
-        self.probes += 1;
         let route = ctx
             .plan
-            .departure_route_uncounted(ctx.stage, self.sw, output, front.dest);
+            .departure_route(ctx.stage, self.sw, output, front.dest);
         self.scratch[output.index()] = Some(route);
         let slots = front.slots_needed(DEFAULT_SLOT_BYTES);
         let primary_ok = !ctx.faults.is_some_and(|f| {
@@ -845,14 +807,13 @@ impl CycleSink for InteriorStageSink<'_, '_> {
         // alternate output (misroute-on-block), so the probe passes if
         // the deflection target looks viable. The merge re-checks both
         // live and charges the misroute budget.
-        let Some(recovery) = ctx.recovery.filter(|r| r.adaptive) else {
+        let Some(recovery) = ctx.recovery.filter(|r| r.config.adaptive) else {
             return false; // hold: link out or downstream space exhausted
         };
-        self.probes += 1;
         let alt_out = ctx.plan.alternate_output(ctx.stage, self.sw, output);
         let alt = ctx
             .plan
-            .departure_route_uncounted(ctx.stage, self.sw, alt_out, front.dest);
+            .departure_route(ctx.stage, self.sw, alt_out, front.dest);
         let alt_slot = (ctx.stage + 1) * ctx.per_stage * ctx.radix
             + alt.next_switch * ctx.radix
             + alt.next_port.index();
@@ -956,38 +917,33 @@ pub struct NetworkSim<B: SwitchBuffer = AnyBuffer, S: TelemetrySink<Event> = Nul
     source_on: Vec<bool>,
     /// Reused per-stage backpressure snapshot
     /// (`per_stage x radix x radix`, see [`ProbeCtx::caps`]): refilled
-    /// serially from the downstream stage before each interior phase A
+    /// from the downstream stage before each interior stage arbitrates
     /// under the blocking protocol.
     accept_caps: Vec<u16>,
-    /// The sharded stage engine: island partition, phase pool, and the
-    /// per-island lanes carrying probe scratch and departure records.
-    /// One island on one thread by default; see
-    /// [`NetworkSim::with_threads`].
-    engine: ParallelEngine,
+    /// Reused departure buffer: one stage's departures, collected in
+    /// switch order while it arbitrates and drained by its merge.
+    departs: Vec<DepartRecord>,
+    /// Reused per-output parked probe routes (`radix` entries, reset
+    /// per switch).
+    route_scratch: Vec<Option<HopRoute>>,
     ids: PacketIdSource,
     rng: StdRng,
     cycle: u64,
     metrics: NetMetrics,
     /// Named-metric registry (disabled by default; see
-    /// [`NetworkSim::with_metrics`]). Updated only in the serial
-    /// sections of the cycle, so snapshots are lane-count-independent.
+    /// [`NetworkSim::with_metrics`]).
     registry: MetricsRegistry,
     /// Static registry ids, resolved once at construction.
     metric_ids: MetricIds,
-    /// Whether the wall-clock phase profiler is on (see
-    /// [`NetworkSim::with_phase_timing`]).
-    phase_timing: bool,
-    /// Accumulated serial phase-B merge nanoseconds (profiler only).
-    merge_ns: u64,
     /// Per-switch quiescence map, flat `stage * per_stage + switch`.
-    /// Invariant (audited as `quiescence-map`): at every phase-A entry
-    /// and at end of cycle, `quiescent[i]` ⇔ that switch holds zero
-    /// packets. Maintained incrementally, writes only in serial
-    /// sections: a successful receive (merge, inject) clears the
-    /// receiver's bit; each departure record re-derives the
-    /// transmitter's bit from [`Switch::is_quiescent`].
+    /// Invariant (audited as `quiescence-map`): whenever a stage starts
+    /// arbitrating and at end of cycle, `quiescent[i]` ⇔ that switch
+    /// holds zero packets. Maintained incrementally: a successful
+    /// receive (merge, inject) clears the receiver's bit; each
+    /// departure record re-derives the transmitter's bit from
+    /// [`Switch::is_quiescent`].
     quiescent: Vec<bool>,
-    /// Whether phase A advances quiescent switches with
+    /// Whether arbitration advances quiescent switches with
     /// [`Switch::note_idle_cycle`] instead of a full arbitration sweep
     /// (on by default; see [`NetworkSim::with_idle_skip`]).
     idle_skip: bool,
@@ -1167,15 +1123,20 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             source_queues: vec![VecDeque::new(); config.size],
             source_on: vec![true; config.size],
             accept_caps: vec![0; per_stage * config.radix * config.radix],
-            engine: ParallelEngine::new(1, per_stage, config.radix),
+            // Room for two switches' grants up front; the buffer grows to
+            // a busy stage's worth in the first cycles. Starting empty
+            // instead measurably slowed back-to-back builds of small
+            // faulted networks (+15-20%): the smaller allocation pattern
+            // let glibc trim the heap top after each drop and re-fault it
+            // on the next build.
+            departs: Vec::with_capacity(2 * config.radix),
+            route_scratch: vec![None; config.radix],
             ids: PacketIdSource::new(),
             rng: StdRng::seed_from_u64(config.seed),
             cycle: 0,
             metrics: NetMetrics::new(config.size),
             registry,
             metric_ids,
-            phase_timing: false,
-            merge_ns: 0,
             // Every switch starts empty, hence quiescent.
             quiescent: vec![true; stages * per_stage],
             idle_skip: true,
@@ -1388,7 +1349,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// detections whose window elapsed into believed link health, then
     /// services every due retransmit entry — resending, backing off,
     /// or giving up. All deadlines are cycle counts, so the schedule is
-    /// seed-stable and lane-count-independent.
+    /// seed-stable.
     fn service_recovery(&mut self) {
         let Some(mut rec) = self.recovery.take() else {
             return;
@@ -1659,38 +1620,6 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             .collect()
     }
 
-    /// Shards the cycle loop over `threads` simulation lanes: every
-    /// pipeline stage is split into contiguous switch islands
-    /// ([`IslandPartition`](crate::IslandPartition), one per lane) that
-    /// arbitrate and probe concurrently, then merge their departures
-    /// serially in a fixed order. The default is 1 (no worker threads;
-    /// phases run inline).
-    ///
-    /// `threads` is clamped to at least 1; asking for more lanes than a
-    /// stage has switches caps the island count at one switch per
-    /// island.
-    ///
-    /// # Determinism
-    ///
-    /// Thread count is **not** part of the experiment: a serial run and
-    /// an N-thread run of the same configuration produce byte-identical
-    /// metrics, telemetry traces and fault ledgers. Island phases only
-    /// touch pairwise-disjoint switch state, and everything
-    /// order-sensitive (receives, metrics, events) happens in the
-    /// serial merge — see `docs/ARCHITECTURE.md` for the argument and
-    /// `crates/net/tests/parallel_equivalence.rs` for the proof by
-    /// fingerprint.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.engine = ParallelEngine::new(
-            threads.max(1),
-            self.topology.switches_per_stage(),
-            self.config.radix,
-        );
-        self.engine.set_timing(self.phase_timing);
-        self
-    }
-
     /// Enables the named-metric registry: cycle-domain counters and
     /// log-scale latency/occupancy histograms, readable as a
     /// deterministic JSON snapshot via
@@ -1698,9 +1627,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     ///
     /// Off by default; while off, every registry update is a single
     /// branch on a cold flag (pinned by the `no_op_registry_overhead`
-    /// bench). All registry updates happen in the serial sections of
-    /// the cycle, so snapshots are byte-identical at any lane count
-    /// (pinned by `parallel_equivalence.rs`).
+    /// bench).
     #[must_use]
     pub fn with_metrics(mut self) -> Self {
         self.registry.set_enabled(true);
@@ -1709,7 +1636,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
 
     /// Turns the quiescent-switch fast path on or off (on by default).
     ///
-    /// With it on, phase A advances a switch whose quiescence bit is set
+    /// With it on, arbitration advances a switch whose quiescence bit is set
     /// with [`Switch::note_idle_cycle`] — one counter tick instead of an
     /// arbitration sweep over its buffers. The fast path is byte-identical
     /// to arbitrating an empty switch (pinned per switch by
@@ -1740,43 +1667,6 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         self.registry.snapshot_json()
     }
 
-    /// Enables the wall-clock phase profiler: per-lane phase-A busy
-    /// time, barrier waits, and serial phase-B merge time, drained via
-    /// [`phase_profile`](NetworkSim::phase_profile).
-    ///
-    /// Profiling measures *harness* wall-clock only — it never touches
-    /// simulation state, so enabling it cannot change any result.
-    #[must_use]
-    pub fn with_phase_timing(mut self) -> Self {
-        self.phase_timing = true;
-        self.engine.set_timing(true);
-        self
-    }
-
-    /// Drains the accumulated phase profile (zeroing the counters).
-    /// Empty unless [`with_phase_timing`](NetworkSim::with_phase_timing)
-    /// was called.
-    pub fn phase_profile(&mut self) -> PhaseProfile {
-        let times = self.engine.take_times();
-        PhaseProfile {
-            lane_busy_ns: times.lane_busy_ns,
-            barrier_wait_ns: times.barrier_wait_ns,
-            merge_ns: std::mem::take(&mut self.merge_ns),
-            phases: times.phases,
-        }
-    }
-
-    /// Number of simulation lanes stage phases run on (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    /// The stage partition in use: which contiguous switch island each
-    /// lane steps.
-    pub fn island_partition(&self) -> &crate::IslandPartition {
-        self.engine.partition()
-    }
-
     /// Simulates one network cycle (12 clock cycles).
     ///
     /// With the `strict-audit` feature on, every cycle ends with a full
@@ -1785,11 +1675,10 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     ///
     /// # Determinism
     ///
-    /// One cycle is: generate (serial), advance stages last-to-first
-    /// (phase A per stage runs islands concurrently when
-    /// [`NetworkSim::with_threads`] raised the lane count; phase B
-    /// merges serially), inject (serial). The same configuration and
-    /// seed replay the identical cycle regardless of the lane count.
+    /// One cycle is: generate, advance stages last-to-first (each stage
+    /// arbitrates every switch, then merges the departures in switch
+    /// order), inject. The same configuration and seed replay the
+    /// identical cycle.
     ///
     /// # Panics
     ///
@@ -1901,15 +1790,14 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// Returns per-stage forwarded-packet counts for the cycle sample
     /// (empty, allocation-free, while the sink is disabled).
     ///
-    /// Each stage is stepped in two phases. **Phase A** arbitrates every
-    /// switch — islands concurrently when [`NetworkSim::with_threads`]
-    /// raised the lane count — and collects each departure (with the
-    /// backpressure probe's parked route) into its island's lane.
-    /// **Phase B** drains the lanes in ascending switch order and
-    /// replays the serial departure loop: misroute faults, routing
-    /// fallback, telemetry, downstream receives, metrics. Only phase B
-    /// mutates shared state, so the phased loop is byte-identical to a
-    /// serial sweep at any lane count (see `docs/ARCHITECTURE.md`).
+    /// Each stage is stepped collect-then-merge. First every switch
+    /// arbitrates, in switch order, and each departure (with the
+    /// backpressure probe's parked route) is collected into
+    /// `self.departs`. Then the departures merge in the order collected:
+    /// misroute faults, routing fallback, telemetry, downstream
+    /// receives, metrics. Probes therefore see the downstream stage as
+    /// it stood before any of this stage's departures landed (see
+    /// `docs/ARCHITECTURE.md`).
     fn advance_stages(&mut self) -> Vec<u32> {
         let stages = self.topology.stages();
         let per_stage = self.topology.switches_per_stage();
@@ -1921,193 +1809,177 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             Vec::new()
         };
 
-        // Fault state leaves `self` for the stage loops so the phase-A
-        // probes can read it while the switch grid is mutably borrowed;
+        // Fault state leaves `self` for the stage loops so the probes
+        // can read it while the switch grid is mutably borrowed;
         // recovery state leaves for the same reason (probes read its
         // believed link health, merges park and deflect through it).
         let mut faults = self.faults.take();
         let mut recovery = self.recovery.take();
         let radix = self.config.radix;
         let cycle = self.cycle;
-        let islands = self.engine.islands();
 
         // Last stage delivers straight to the (always-ready) sinks.
-        // Phase A: every switch arbitrates; no probing needed. Quiescent
-        // switches take the idle fast path — one counter tick instead of
-        // a buffer sweep.
+        // Every switch arbitrates; no probing needed. Quiescent switches
+        // take the idle fast path — one counter tick instead of a buffer
+        // sweep.
         let last = stages - 1;
-        let idle = IdleView {
-            enabled: self.idle_skip,
-            map: &self.quiescent[last * per_stage..(last + 1) * per_stage],
-        };
-        self.engine.collect(
-            &mut self.switches[last],
-            &idle,
-            &|sw, switch: &mut Switch<B>, lane: &mut StageLane, idle: &IdleView<'_>| {
-                debug_assert_eq!(idle.map[sw], switch.is_quiescent(), "stale quiescence bit");
-                if idle.skip(sw) {
-                    switch.note_idle_cycle();
-                    lane.idle_skipped += 1;
-                    return;
-                }
-                let mut sink = LastStageSink {
-                    sw,
-                    records: &mut lane.records,
-                };
-                switch.transmit_cycle_with(&mut sink);
-            },
-        );
-        let skipped = self.engine.idle_skipped_in_phase();
+        let mut skipped = 0;
+        for (sw, switch) in self.switches[last].iter_mut().enumerate() {
+            let quiescent = self.quiescent[last * per_stage + sw];
+            debug_assert_eq!(quiescent, switch.is_quiescent(), "stale quiescence bit");
+            if self.idle_skip && quiescent {
+                switch.note_idle_cycle();
+                skipped += 1;
+                continue;
+            }
+            switch.transmit_cycle_with(&mut LastStageSink {
+                sw,
+                records: &mut self.departs,
+            });
+        }
         self.idle_skipped += skipped;
         self.registry.add(self.metric_ids.idle_skipped, skipped);
-        // Phase B: deliver in ascending switch order.
-        // lint: allow — harness wall-clock, never simulation state.
-        let merge_start = self.phase_timing.then(Instant::now);
-        for island in 0..islands {
-            for rec in self.engine.lane_records(island) {
-                let sw = rec.sw;
-                // The record proves `sw` transmitted: re-derive its
-                // quiescence bit from the post-arbitration residency
-                // (idempotent; receives into this stage happen later, in
-                // the previous stage's merge, and clear it again).
-                self.quiescent[last * per_stage + sw] = self.switches[last][sw].is_quiescent();
-                let misrouted_here = faults
-                    .as_mut()
-                    .is_some_and(|f| f.take_misroute(per_stage, last, sw));
-                let out = if misrouted_here {
-                    OutputPort::new((rec.output.index() + 1) % radix)
-                } else {
-                    rec.output
-                };
-                let sink = self.plan.sink_of(sw, out);
-                let serial = rec.packet.id().serial();
-                if tracing {
-                    forwarded[last] += 1;
-                    self.sink.record(Event::new(
-                        self.cycle,
-                        EventKind::Forwarded {
-                            packet: serial,
-                            stage: last as u32,
-                            switch: sw as u32,
-                            output: out.index() as u32,
-                        },
-                    ));
-                }
-                if sink != rec.packet.dest() {
-                    // A transient misroute (here or upstream) or a deliberate
-                    // deflection carried the packet to the wrong terminal.
-                    debug_assert!(
-                        faults.is_some() || rec.packet.deflections() > 0,
-                        "misrouted packet without faults"
-                    );
-                    // With retransmission on, the wrong sink NACKs and the
-                    // packet recirculates from the hop buffer: it parks at
-                    // the terminal slot of its *true* destination and is
-                    // re-delivered by the retransmit timer.
-                    if let Some(recv) = recovery.as_mut() {
-                        let slot = recv.sink_slot(rec.packet.dest().index());
-                        if recv.can_park(slot) {
-                            self.registry.add(self.metric_ids.recirculated, 1);
-                            if tracing {
-                                self.sink.record(Event::new(
-                                    self.cycle,
-                                    EventKind::Recirculated {
-                                        packet: serial,
-                                        sink: sink.index() as u32,
-                                    },
-                                ));
-                            }
-                            recv.park(
-                                slot,
-                                cycle,
-                                last as u32,
-                                sw as u32,
-                                HopKind::Final,
-                                rec.packet,
-                            );
-                            continue;
+        // Deliver in ascending switch order.
+        for rec in self.departs.drain(..) {
+            let sw = rec.sw;
+            // The record proves `sw` transmitted: re-derive its
+            // quiescence bit from the post-arbitration residency
+            // (idempotent; receives into this stage happen later, in
+            // the previous stage's merge, and clear it again).
+            self.quiescent[last * per_stage + sw] = self.switches[last][sw].is_quiescent();
+            let misrouted_here = faults
+                .as_mut()
+                .is_some_and(|f| f.take_misroute(per_stage, last, sw));
+            let out = if misrouted_here {
+                OutputPort::new((rec.output.index() + 1) % radix)
+            } else {
+                rec.output
+            };
+            let sink = self.plan.sink_of(sw, out);
+            let serial = rec.packet.id().serial();
+            if tracing {
+                forwarded[last] += 1;
+                self.sink.record(Event::new(
+                    self.cycle,
+                    EventKind::Forwarded {
+                        packet: serial,
+                        stage: last as u32,
+                        switch: sw as u32,
+                        output: out.index() as u32,
+                    },
+                ));
+            }
+            if sink != rec.packet.dest() {
+                // A transient misroute (here or upstream) or a deliberate
+                // deflection carried the packet to the wrong terminal.
+                debug_assert!(
+                    faults.is_some() || rec.packet.deflections() > 0,
+                    "misrouted packet without faults"
+                );
+                // With retransmission on, the wrong sink NACKs and the
+                // packet recirculates from the hop buffer: it parks at
+                // the terminal slot of its *true* destination and is
+                // re-delivered by the retransmit timer.
+                if let Some(recv) = recovery.as_mut() {
+                    let slot = recv.sink_slot(rec.packet.dest().index());
+                    if recv.can_park(slot) {
+                        self.registry.add(self.metric_ids.recirculated, 1);
+                        if tracing {
+                            self.sink.record(Event::new(
+                                self.cycle,
+                                EventKind::Recirculated {
+                                    packet: serial,
+                                    sink: sink.index() as u32,
+                                },
+                            ));
                         }
+                        recv.park(
+                            slot,
+                            cycle,
+                            last as u32,
+                            sw as u32,
+                            HopKind::Final,
+                            rec.packet,
+                        );
+                        continue;
                     }
-                    if tracing {
-                        self.sink.record(Event::new(
-                            self.cycle,
-                            EventKind::Misrouted {
-                                packet: serial,
-                                sink: sink.index() as u32,
-                            },
-                        ));
-                    }
-                    self.metrics.record_network_discard();
-                    self.registry.add(self.metric_ids.discarded_network, 1);
-                    self.ledger.discarded += 1;
-                    self.fault_ledger.misrouted += 1;
-                    continue;
                 }
-                if !rec.packet.verify_checksum() {
-                    // Payload damaged in flight: the sink refuses delivery.
-                    // With retransmission on the refusal is a NACK — the
-                    // packet parks at the terminal hop and the timer resends
-                    // a repaired copy (no discard is charged unless every
-                    // retry is exhausted).
-                    if let Some(recv) = recovery.as_mut() {
-                        let slot = recv.sink_slot(rec.packet.dest().index());
-                        if recv.can_park(slot) {
-                            recv.park(
-                                slot,
-                                cycle,
-                                last as u32,
-                                sw as u32,
-                                HopKind::Final,
-                                rec.packet,
-                            );
-                            continue;
-                        }
-                    }
-                    if tracing {
-                        self.sink.record(Event::new(
-                            self.cycle,
-                            EventKind::CorruptDropped {
-                                packet: serial,
-                                sink: sink.index() as u32,
-                            },
-                        ));
-                    }
-                    self.metrics.record_network_discard();
-                    self.registry.add(self.metric_ids.discarded_network, 1);
-                    self.ledger.discarded += 1;
-                    self.fault_ledger.corrupt_dropped += 1;
-                    continue;
-                }
-                let total = self.cycle.saturating_sub(rec.packet.birth_cycle());
-                let injected = rec
-                    .packet
-                    .injected_cycle()
-                    .unwrap_or(rec.packet.birth_cycle());
-                let network = self.cycle.saturating_sub(injected);
                 if tracing {
                     self.sink.record(Event::new(
                         self.cycle,
-                        EventKind::Delivered {
+                        EventKind::Misrouted {
                             packet: serial,
                             sink: sink.index() as u32,
                         },
                     ));
                 }
-                self.metrics.record_delivery_from(
-                    rec.packet.source().index(),
-                    sink.index(),
-                    total,
-                    network,
-                );
-                self.registry.add(self.metric_ids.delivered, 1);
-                self.registry.observe(self.metric_ids.latency, total);
-                self.registry
-                    .observe(self.metric_ids.network_latency, network);
-                self.ledger.delivered += 1;
+                self.metrics.record_network_discard();
+                self.registry.add(self.metric_ids.discarded_network, 1);
+                self.ledger.discarded += 1;
+                self.fault_ledger.misrouted += 1;
+                continue;
             }
-        }
-        if let Some(start) = merge_start {
-            self.merge_ns += start.elapsed().as_nanos() as u64;
+            if !rec.packet.verify_checksum() {
+                // Payload damaged in flight: the sink refuses delivery.
+                // With retransmission on the refusal is a NACK — the
+                // packet parks at the terminal hop and the timer resends
+                // a repaired copy (no discard is charged unless every
+                // retry is exhausted).
+                if let Some(recv) = recovery.as_mut() {
+                    let slot = recv.sink_slot(rec.packet.dest().index());
+                    if recv.can_park(slot) {
+                        recv.park(
+                            slot,
+                            cycle,
+                            last as u32,
+                            sw as u32,
+                            HopKind::Final,
+                            rec.packet,
+                        );
+                        continue;
+                    }
+                }
+                if tracing {
+                    self.sink.record(Event::new(
+                        self.cycle,
+                        EventKind::CorruptDropped {
+                            packet: serial,
+                            sink: sink.index() as u32,
+                        },
+                    ));
+                }
+                self.metrics.record_network_discard();
+                self.registry.add(self.metric_ids.discarded_network, 1);
+                self.ledger.discarded += 1;
+                self.fault_ledger.corrupt_dropped += 1;
+                continue;
+            }
+            let total = self.cycle.saturating_sub(rec.packet.birth_cycle());
+            let injected = rec
+                .packet
+                .injected_cycle()
+                .unwrap_or(rec.packet.birth_cycle());
+            let network = self.cycle.saturating_sub(injected);
+            if tracing {
+                self.sink.record(Event::new(
+                    self.cycle,
+                    EventKind::Delivered {
+                        packet: serial,
+                        sink: sink.index() as u32,
+                    },
+                ));
+            }
+            self.metrics.record_delivery_from(
+                rec.packet.source().index(),
+                sink.index(),
+                total,
+                network,
+            );
+            self.registry.add(self.metric_ids.delivered, 1);
+            self.registry.observe(self.metric_ids.latency, total);
+            self.registry
+                .observe(self.metric_ids.network_latency, network);
+            self.ledger.delivered += 1;
         }
 
         // Earlier stages, last to first, feed their successor stage.
@@ -2116,21 +1988,20 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             let current = &mut current_stages[stage];
             let downstream = &mut later_stages[0];
             // Snapshot the downstream stage's admission capacities into
-            // the flat reused matrix. The downstream stage is frozen for
-            // the whole of this stage's phase A (its transmit and every
-            // merge into it already ran), so the snapshot answers every
-            // probe exactly as the live `can_accept` would — and islands
-            // read a 256-byte array instead of chasing through foreign
-            // switch state.
+            // the flat reused matrix. The downstream stage is frozen while
+            // this stage arbitrates (its transmit and every merge into it
+            // already ran), so the snapshot answers every probe exactly
+            // as the live `can_accept` would — and probes read a 256-byte
+            // array instead of chasing through foreign switch state.
             if blocking {
                 let link = radix * radix;
                 for (sw, caps) in self.accept_caps.chunks_exact_mut(link).enumerate() {
                     downstream[sw].accept_capacities_into(caps);
                 }
             }
-            // Phase A: every island arbitrates its switches. Blocking
-            // probes route, check the downstream link and read downstream
-            // space; each departure leaves with the probe's parked route.
+            // Every switch arbitrates. Blocking probes route, check the
+            // downstream link and read downstream space; each departure
+            // leaves with the probe's parked route.
             let ctx = ProbeCtx {
                 stage,
                 per_stage,
@@ -2139,49 +2010,31 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
                 blocking,
                 plan: &self.plan,
                 faults: faults.as_ref(),
-                recovery: recovery.as_ref().map(|r| r.view()),
+                recovery: recovery.as_ref(),
                 caps: &self.accept_caps,
-                idle: IdleView {
-                    enabled: self.idle_skip,
-                    map: &self.quiescent[stage * per_stage..(stage + 1) * per_stage],
-                },
             };
-            self.engine.collect(
-                current,
-                &ctx,
-                &|sw, switch: &mut Switch<B>, lane: &mut StageLane, ctx: &ProbeCtx<'_>| {
-                    debug_assert_eq!(
-                        ctx.idle.map[sw],
-                        switch.is_quiescent(),
-                        "stale quiescence bit"
-                    );
-                    if ctx.idle.skip(sw) {
-                        switch.note_idle_cycle();
-                        lane.idle_skipped += 1;
-                        return;
-                    }
-                    let StageLane {
-                        scratch, records, ..
-                    } = lane;
-                    scratch.fill(None);
-                    let mut sink = InteriorStageSink {
-                        sw,
-                        ctx,
-                        scratch,
-                        records,
-                        probes: 0,
-                    };
-                    switch.transmit_cycle_with(&mut sink);
-                    ctx.plan.count_queries(sink.probes);
-                },
-            );
-            let skipped = self.engine.idle_skipped_in_phase();
+            let mut skipped = 0;
+            for (sw, switch) in current.iter_mut().enumerate() {
+                let quiescent = self.quiescent[stage * per_stage + sw];
+                debug_assert_eq!(quiescent, switch.is_quiescent(), "stale quiescence bit");
+                if self.idle_skip && quiescent {
+                    switch.note_idle_cycle();
+                    skipped += 1;
+                    continue;
+                }
+                self.route_scratch.fill(None);
+                switch.transmit_cycle_with(&mut InteriorStageSink {
+                    sw,
+                    ctx: &ctx,
+                    scratch: &mut self.route_scratch,
+                    records: &mut self.departs,
+                });
+            }
             self.idle_skipped += skipped;
             self.registry.add(self.metric_ids.idle_skipped, skipped);
-            // Phase B: merge departures in ascending switch order,
-            // replaying the serial departure loop. Misroutes applied so
-            // far in *this stage's* merge — the only mechanism that can
-            // invalidate a phase-A probe (see the invariant at the
+            // Merge departures in ascending switch order. Misroutes
+            // applied so far in *this stage's* merge — the only mechanism
+            // that can invalidate a probe (see the invariant at the
             // receive below).
             let mut stage_misroutes = 0u64;
             // Deflections applied so far in this stage's merge: like a
@@ -2189,281 +2042,266 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             // reserved and can therefore invalidate a later in-order
             // blocking departure in the same merge.
             let mut stage_deflections = 0u64;
-            // lint: allow — harness wall-clock, never simulation state.
-            let merge_start = self.phase_timing.then(Instant::now);
-            for island in 0..islands {
-                for rec in self.engine.lane_records(island) {
-                    let sw = rec.sw;
-                    // The record proves `sw` transmitted: re-derive its
-                    // quiescence bit from the post-arbitration residency.
-                    self.quiescent[stage * per_stage + sw] = current[sw].is_quiescent();
-                    // Blocking probes parked the route on the record; the
-                    // discarding path routes here — either way exactly one
-                    // query per departure (misroutes pay one extra for the
-                    // flip).
-                    let misrouted_here = faults
-                        .as_mut()
-                        .is_some_and(|f| f.take_misroute(per_stage, stage, sw));
-                    stage_misroutes += u64::from(misrouted_here);
-                    let (out, route) = if misrouted_here {
-                        let wrong = OutputPort::new((rec.output.index() + 1) % radix);
-                        (
-                            wrong,
-                            self.plan
-                                .departure_route(stage, sw, wrong, rec.packet.dest()),
-                        )
-                    } else {
-                        let route = rec.route.unwrap_or_else(|| {
-                            self.plan
-                                .departure_route(stage, sw, rec.output, rec.packet.dest())
-                        });
-                        (rec.output, route)
-                    };
-                    let HopRoute {
-                        next_switch,
-                        next_port,
-                        next_output: next_out,
-                    } = route;
-                    if tracing {
-                        forwarded[stage] += 1;
-                        self.sink.record(Event::new(
-                            self.cycle,
-                            EventKind::Forwarded {
-                                packet: rec.packet.id().serial(),
-                                stage: stage as u32,
-                                switch: sw as u32,
-                                output: out.index() as u32,
-                            },
-                        ));
-                    }
-                    let serial = rec.packet.id().serial();
-                    let link_dead = faults.as_ref().is_some_and(|f| {
-                        f.link_down(
-                            per_stage,
-                            radix,
-                            stage + 1,
-                            next_switch,
-                            next_port.index(),
-                            cycle,
-                        )
+            for rec in self.departs.drain(..) {
+                let sw = rec.sw;
+                // The record proves `sw` transmitted: re-derive its
+                // quiescence bit from the post-arbitration residency.
+                self.quiescent[stage * per_stage + sw] = current[sw].is_quiescent();
+                // Blocking probes parked the route on the record; the
+                // discarding path routes here — either way exactly one
+                // query per departure (misroutes pay one extra for the
+                // flip).
+                let misrouted_here = faults
+                    .as_mut()
+                    .is_some_and(|f| f.take_misroute(per_stage, stage, sw));
+                stage_misroutes += u64::from(misrouted_here);
+                let (out, route) = if misrouted_here {
+                    let wrong = OutputPort::new((rec.output.index() + 1) % radix);
+                    (
+                        wrong,
+                        self.plan
+                            .departure_route(stage, sw, wrong, rec.packet.dest()),
+                    )
+                } else {
+                    let route = rec.route.unwrap_or_else(|| {
+                        self.plan
+                            .departure_route(stage, sw, rec.output, rec.packet.dest())
                     });
-                    // `loss` carries the packet through the recovery ladder
-                    // below whenever the primary hop fails (dead wire or a
-                    // bounced receive); `None` means it was delivered.
-                    let mut loss: Option<Packet> = None;
-                    if link_dead {
-                        // The packet would fly into the outage and be lost;
-                        // the ladder below may still save it.
-                        loss = Some(rec.packet);
-                    } else {
-                        match downstream[next_switch].receive(next_port, next_out, rec.packet) {
-                            Ok(()) => {
-                                // The receiver now holds a packet: it cannot
-                                // idle-skip until it drains again.
-                                self.quiescent[(stage + 1) * per_stage + next_switch] = false;
-                            }
-                            Err(rejected) => {
-                                // Every rejection reason in the delivery path
-                                // is handled explicitly (workspace lint 12):
-                                // capacity and fault bounces are recoverable
-                                // losses, structural rejects are programming
-                                // errors in the route plan.
-                                match rejected.reason {
-                                    RejectReason::BufferFull
-                                    | RejectReason::QueueFull
-                                    | RejectReason::Faulted => {}
-                                    RejectReason::PacketTooLarge | RejectReason::NoSuchOutput => {
-                                        debug_assert!(
-                                            false,
-                                            "structural reject in the delivery path: {}",
-                                            rejected.reason
-                                        );
-                                    }
-                                    _ => {
-                                        debug_assert!(
-                                            false,
-                                            "unknown reject reason in the delivery path: {}",
-                                            rejected.reason
-                                        );
-                                    }
-                                }
-                                // Invariant: a probed blocking departure can only
-                                // bounce after a misroute or a deflection in this
-                                // same stage's merge. The banyan wiring maps each
-                                // upstream (switch, output) to a *unique*
-                                // downstream (switch, input), and the crossbar
-                                // grants at most one departure per output per
-                                // cycle, so every in-order departure in this
-                                // merge owns a private downstream input whose
-                                // space its probe reserved. Earlier in-order
-                                // receives therefore cannot consume it; only a
-                                // misroute or deflection — which flips a packet
-                                // onto an output it never probed, landing on an
-                                // input port that belongs to another departure —
-                                // can. (Retransmit resends run before this
-                                // stage's capacity snapshot, so they cannot
-                                // invalidate a probe.) With adaptive recovery
-                                // the bounce is additionally expected whenever
-                                // the probe admitted the departure on the
-                                // *alternate* route's space — the primary was
-                                // already known to be blocked and the ladder
-                                // below deflects — so the invariant only has
-                                // teeth without deflection in play.
-                                let adaptive_on =
-                                    recovery.as_ref().is_some_and(|r| r.config.adaptive);
-                                assert!(
-                                    !blocking
-                                        || adaptive_on
-                                        || stage_misroutes > 0
-                                        || stage_deflections > 0,
-                                    "blocking probe invalidated with no misroute or \
-                                     deflection in this stage's merge (stage {stage}, \
-                                     switch {sw})"
-                                );
-                                loss = Some(rejected.into_packet());
-                            }
+                    (rec.output, route)
+                };
+                let HopRoute {
+                    next_switch,
+                    next_port,
+                    next_output: next_out,
+                } = route;
+                if tracing {
+                    forwarded[stage] += 1;
+                    self.sink.record(Event::new(
+                        self.cycle,
+                        EventKind::Forwarded {
+                            packet: rec.packet.id().serial(),
+                            stage: stage as u32,
+                            switch: sw as u32,
+                            output: out.index() as u32,
+                        },
+                    ));
+                }
+                let serial = rec.packet.id().serial();
+                let link_dead = faults.as_ref().is_some_and(|f| {
+                    f.link_down(
+                        per_stage,
+                        radix,
+                        stage + 1,
+                        next_switch,
+                        next_port.index(),
+                        cycle,
+                    )
+                });
+                // `loss` carries the packet through the recovery ladder
+                // below whenever the primary hop fails (dead wire or a
+                // bounced receive); `None` means it was delivered.
+                let mut loss: Option<Packet> = None;
+                if link_dead {
+                    // The packet would fly into the outage and be lost;
+                    // the ladder below may still save it.
+                    loss = Some(rec.packet);
+                } else {
+                    match downstream[next_switch].receive(next_port, next_out, rec.packet) {
+                        Ok(()) => {
+                            // The receiver now holds a packet: it cannot
+                            // idle-skip until it drains again.
+                            self.quiescent[(stage + 1) * per_stage + next_switch] = false;
                         }
-                    }
-                    if loss.is_some() {
-                        if let Some(recv) = recovery.as_mut() {
-                            // Rung 1 — deflect: misroute on purpose through
-                            // the alternate output and let the wrong sink
-                            // recirculate it (unique-path banyans have no
-                            // second path to the right sink mid-network).
-                            let budget_left = recv.config.adaptive
-                                && loss
-                                    .as_ref()
-                                    .is_some_and(|p| p.deflections() < recv.config.misroute_budget);
-                            if budget_left {
-                                let alt_out = self.plan.alternate_output(stage, sw, out);
-                                let alt = self.plan.departure_route(
-                                    stage,
-                                    sw,
-                                    alt_out,
-                                    // lint: allow — loss was just set Some on both paths above
-                                    loss.as_ref().expect("checked above").dest(),
-                                );
-                                let alt_dead = faults.as_ref().is_some_and(|f| {
-                                    f.link_down(
-                                        per_stage,
-                                        radix,
-                                        stage + 1,
-                                        alt.next_switch,
-                                        alt.next_port.index(),
-                                        cycle,
-                                    )
-                                });
-                                let alt_slot = recv.link_index(
-                                    stage + 1,
-                                    alt.next_switch,
-                                    alt.next_port.index(),
-                                );
-                                let slots = loss
-                                    .as_ref()
-                                    // lint: allow — loss was just set Some on both paths above
-                                    .expect("checked above")
-                                    .slots_needed(DEFAULT_SLOT_BYTES);
-                                if !alt_dead
-                                    && !recv.believed_down(alt_slot, cycle)
-                                    && downstream[alt.next_switch].can_accept(
-                                        alt.next_port,
-                                        alt.next_output,
-                                        slots,
-                                    )
-                                {
-                                    // lint: allow — loss was just set Some on both paths above
-                                    let mut packet = loss.take().expect("checked above");
-                                    packet.note_deflection();
-                                    match downstream[alt.next_switch].receive(
-                                        alt.next_port,
-                                        alt.next_output,
-                                        packet,
-                                    ) {
-                                        Ok(()) => {
-                                            self.quiescent
-                                                [(stage + 1) * per_stage + alt.next_switch] = false;
-                                            stage_deflections += 1;
-                                            self.registry.add(self.metric_ids.rerouted, 1);
-                                            if tracing {
-                                                self.sink.record(Event::new(
-                                                    self.cycle,
-                                                    EventKind::Rerouted {
-                                                        packet: serial,
-                                                        stage: stage as u32,
-                                                        switch: sw as u32,
-                                                        output: alt_out.index() as u32,
-                                                    },
-                                                ));
-                                            }
-                                        }
-                                        Err(rejected) => {
-                                            debug_assert!(
-                                                false,
-                                                "deflection bounced after can_accept"
-                                            );
-                                            loss = Some(rejected.into_packet());
-                                        }
-                                    }
+                        Err(rejected) => {
+                            // Every rejection reason in the delivery path
+                            // is handled explicitly (workspace lint 12):
+                            // capacity and fault bounces are recoverable
+                            // losses, structural rejects are programming
+                            // errors in the route plan.
+                            match rejected.reason {
+                                RejectReason::BufferFull
+                                | RejectReason::QueueFull
+                                | RejectReason::Faulted => {}
+                                RejectReason::PacketTooLarge | RejectReason::NoSuchOutput => {
+                                    debug_assert!(
+                                        false,
+                                        "structural reject in the delivery path: {}",
+                                        rejected.reason
+                                    );
                                 }
-                            }
-                            // Rung 2 — park: hold the packet in the hop's
-                            // bounded retransmit buffer; the timer resends
-                            // it once the link is believed healthy again.
-                            if loss.is_some() {
-                                let slot =
-                                    recv.link_index(stage + 1, next_switch, next_port.index());
-                                if recv.can_park(slot) {
-                                    if link_dead {
-                                        recv.note_loss(slot, cycle);
-                                    }
-                                    recv.park(
-                                        slot,
-                                        cycle,
-                                        stage as u32,
-                                        sw as u32,
-                                        HopKind::Interior {
-                                            stage: stage + 1,
-                                            next_switch,
-                                            next_port: next_port.index(),
-                                            next_out: next_out.index(),
-                                        },
-                                        // lint: allow — can_park was checked in the rung-2 guard
-                                        loss.take().expect("checked above"),
+                                _ => {
+                                    debug_assert!(
+                                        false,
+                                        "unknown reject reason in the delivery path: {}",
+                                        rejected.reason
                                     );
                                 }
                             }
-                        }
-                    }
-                    // Rung 3 — drop: the plain fault model (recovery off,
-                    // out of deflection budget, or the hop buffer is full).
-                    if loss.take().is_some() {
-                        if tracing {
-                            self.sink.record(Event::new(
-                                self.cycle,
-                                EventKind::NetworkDiscarded {
-                                    packet: serial,
-                                    stage: stage as u32,
-                                    switch: sw as u32,
-                                },
-                            ));
-                        }
-                        self.metrics.record_network_discard();
-                        self.registry.add(self.metric_ids.discarded_network, 1);
-                        self.ledger.discarded += 1;
-                        if link_dead {
-                            self.fault_ledger.link_dropped += 1;
-                        } else if misrouted_here {
-                            self.fault_ledger.misrouted += 1;
-                        } else if blocking {
-                            // An in-order departure whose probe a misroute or
-                            // deflection invalidated (the invariant above).
-                            self.fault_ledger.probe_invalidated += 1;
+                            // Invariant: a probed blocking departure can only
+                            // bounce after a misroute or a deflection in this
+                            // same stage's merge. The banyan wiring maps each
+                            // upstream (switch, output) to a *unique*
+                            // downstream (switch, input), and the crossbar
+                            // grants at most one departure per output per
+                            // cycle, so every in-order departure in this
+                            // merge owns a private downstream input whose
+                            // space its probe reserved. Earlier in-order
+                            // receives therefore cannot consume it; only a
+                            // misroute or deflection — which flips a packet
+                            // onto an output it never probed, landing on an
+                            // input port that belongs to another departure —
+                            // can. (Retransmit resends run before this
+                            // stage's capacity snapshot, so they cannot
+                            // invalidate a probe.) With adaptive recovery
+                            // the bounce is additionally expected whenever
+                            // the probe admitted the departure on the
+                            // *alternate* route's space — the primary was
+                            // already known to be blocked and the ladder
+                            // below deflects — so the invariant only has
+                            // teeth without deflection in play.
+                            let adaptive_on = recovery.as_ref().is_some_and(|r| r.config.adaptive);
+                            assert!(
+                                !blocking
+                                    || adaptive_on
+                                    || stage_misroutes > 0
+                                    || stage_deflections > 0,
+                                "blocking probe invalidated with no misroute or \
+                                 deflection in this stage's merge (stage {stage}, \
+                                 switch {sw})"
+                            );
+                            loss = Some(rejected.into_packet());
                         }
                     }
                 }
-            }
-            if let Some(start) = merge_start {
-                self.merge_ns += start.elapsed().as_nanos() as u64;
+                if loss.is_some() {
+                    if let Some(recv) = recovery.as_mut() {
+                        // Rung 1 — deflect: misroute on purpose through
+                        // the alternate output and let the wrong sink
+                        // recirculate it (unique-path banyans have no
+                        // second path to the right sink mid-network).
+                        let budget_left = recv.config.adaptive
+                            && loss
+                                .as_ref()
+                                .is_some_and(|p| p.deflections() < recv.config.misroute_budget);
+                        if budget_left {
+                            let alt_out = self.plan.alternate_output(stage, sw, out);
+                            let alt = self.plan.departure_route(
+                                stage,
+                                sw,
+                                alt_out,
+                                // lint: allow — loss was just set Some on both paths above
+                                loss.as_ref().expect("checked above").dest(),
+                            );
+                            let alt_dead = faults.as_ref().is_some_and(|f| {
+                                f.link_down(
+                                    per_stage,
+                                    radix,
+                                    stage + 1,
+                                    alt.next_switch,
+                                    alt.next_port.index(),
+                                    cycle,
+                                )
+                            });
+                            let alt_slot =
+                                recv.link_index(stage + 1, alt.next_switch, alt.next_port.index());
+                            let slots = loss
+                                .as_ref()
+                                // lint: allow — loss was just set Some on both paths above
+                                .expect("checked above")
+                                .slots_needed(DEFAULT_SLOT_BYTES);
+                            if !alt_dead
+                                && !recv.believed_down(alt_slot, cycle)
+                                && downstream[alt.next_switch].can_accept(
+                                    alt.next_port,
+                                    alt.next_output,
+                                    slots,
+                                )
+                            {
+                                // lint: allow — loss was just set Some on both paths above
+                                let mut packet = loss.take().expect("checked above");
+                                packet.note_deflection();
+                                match downstream[alt.next_switch].receive(
+                                    alt.next_port,
+                                    alt.next_output,
+                                    packet,
+                                ) {
+                                    Ok(()) => {
+                                        self.quiescent[(stage + 1) * per_stage + alt.next_switch] =
+                                            false;
+                                        stage_deflections += 1;
+                                        self.registry.add(self.metric_ids.rerouted, 1);
+                                        if tracing {
+                                            self.sink.record(Event::new(
+                                                self.cycle,
+                                                EventKind::Rerouted {
+                                                    packet: serial,
+                                                    stage: stage as u32,
+                                                    switch: sw as u32,
+                                                    output: alt_out.index() as u32,
+                                                },
+                                            ));
+                                        }
+                                    }
+                                    Err(rejected) => {
+                                        debug_assert!(false, "deflection bounced after can_accept");
+                                        loss = Some(rejected.into_packet());
+                                    }
+                                }
+                            }
+                        }
+                        // Rung 2 — park: hold the packet in the hop's
+                        // bounded retransmit buffer; the timer resends
+                        // it once the link is believed healthy again.
+                        if loss.is_some() {
+                            let slot = recv.link_index(stage + 1, next_switch, next_port.index());
+                            if recv.can_park(slot) {
+                                if link_dead {
+                                    recv.note_loss(slot, cycle);
+                                }
+                                recv.park(
+                                    slot,
+                                    cycle,
+                                    stage as u32,
+                                    sw as u32,
+                                    HopKind::Interior {
+                                        stage: stage + 1,
+                                        next_switch,
+                                        next_port: next_port.index(),
+                                        next_out: next_out.index(),
+                                    },
+                                    // lint: allow — can_park was checked in the rung-2 guard
+                                    loss.take().expect("checked above"),
+                                );
+                            }
+                        }
+                    }
+                }
+                // Rung 3 — drop: the plain fault model (recovery off,
+                // out of deflection budget, or the hop buffer is full).
+                if loss.take().is_some() {
+                    if tracing {
+                        self.sink.record(Event::new(
+                            self.cycle,
+                            EventKind::NetworkDiscarded {
+                                packet: serial,
+                                stage: stage as u32,
+                                switch: sw as u32,
+                            },
+                        ));
+                    }
+                    self.metrics.record_network_discard();
+                    self.registry.add(self.metric_ids.discarded_network, 1);
+                    self.ledger.discarded += 1;
+                    if link_dead {
+                        self.fault_ledger.link_dropped += 1;
+                    } else if misrouted_here {
+                        self.fault_ledger.misrouted += 1;
+                    } else if blocking {
+                        // An in-order departure whose probe a misroute or
+                        // deflection invalidated (the invariant above).
+                        self.fault_ledger.probe_invalidated += 1;
+                    }
+                }
             }
         }
         self.faults = faults;
@@ -2818,32 +2656,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_profile_is_empty_until_enabled() {
-        let mut sim = NetworkSim::new(small(BufferKind::Damq)).unwrap();
-        sim.run(20);
-        let off = sim.phase_profile();
-        assert_eq!(off.phases, 0);
-        assert_eq!(off.total_ns(), 0);
-        assert_eq!(off.barrier_share(), 0.0);
-
-        let mut sim = NetworkSim::new(small(BufferKind::Damq))
-            .unwrap()
-            .with_threads(2)
-            .with_phase_timing();
-        sim.run(20);
-        let profile = sim.phase_profile();
-        // 2 stages × 20 cycles, one phase-A per stage per cycle.
-        assert_eq!(profile.phases, 40);
-        assert_eq!(profile.lane_busy_ns.len(), 2);
-        assert!(profile.lane_busy_ns[0] > 0);
-        assert!(profile.merge_ns > 0);
-        let share = profile.barrier_share() + profile.merge_share();
-        assert!((0.0..=1.0).contains(&share));
-        // Drained on read.
-        assert_eq!(sim.phase_profile().phases, 0);
-    }
-
-    #[test]
     fn packets_flow_and_arrive_at_their_destinations() {
         let mut sim = NetworkSim::new(small(BufferKind::Damq)).unwrap();
         sim.run(200);
@@ -3155,6 +2967,48 @@ mod fault_tests {
         sim.run(200);
         assert!(sim.fault_ledger().misrouted > 0);
         sim.audit().expect("faulted run stays consistent");
+    }
+
+    /// Under the blocking protocol a probe can be invalidated *only* by
+    /// a misroute landing on the probed input port earlier in the same
+    /// stage's merge (the banyan wiring gives every in-order departure a
+    /// private downstream input, so nothing else can consume its
+    /// reserved space). The merge enforces that invariant with a hard
+    /// assert and tallies each invalidated probe in
+    /// `FaultLedger::probe_invalidated`. The seeds are pinned to a
+    /// schedule that hits the misroute-during-probe window, so this test
+    /// fails if either the assert or the tally drifts.
+    #[test]
+    fn blocking_misroute_probe_invalidation_window() {
+        let config = NetworkConfig::new(16, 4)
+            .buffer_kind(BufferKind::Damq)
+            .slots_per_buffer(4)
+            .offered_load(0.9)
+            .seed(0xDA3B)
+            .flow_control(FlowControl::Blocking);
+        let plan = FaultPlan::generate(
+            37,
+            &FaultSpec {
+                misroutes: 8,
+                ..FaultSpec::fault_free(2, 4, 4, 16, 4, 300)
+            },
+        );
+        let mut sim = NetworkSim::with_faults(config, plan).unwrap();
+        sim.run(300);
+        sim.audit().expect("faulted run stays consistent");
+        let ledger = sim.fault_ledger();
+        assert_eq!(
+            ledger.probe_invalidated, 3,
+            "pinned seed must hit the probe-invalidation window"
+        );
+        assert_eq!(ledger.misrouted, 8, "all seeded misroutes fire");
+
+        // Without misroute faults the blocking protocol never bounces a
+        // probed departure — the strict assert in the merge would fire
+        // otherwise, and the tally must stay zero.
+        let mut clean = NetworkSim::new(config).unwrap();
+        clean.run(300);
+        assert_eq!(clean.fault_ledger().probe_invalidated, 0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! The paper's evaluation network is `OmegaTopology::new(64, 4)`: three
 //! stages of sixteen 4×4 switches.
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use damq_core::{InputPort, NodeId, OutputPort};
 
@@ -361,7 +361,7 @@ pub struct HopRoute {
 /// The plan counts [`RoutePlan::departure_route`] calls
 /// ([`RoutePlan::route_queries`]), which lets tests pin down exactly how
 /// often the simulator routes each departing packet.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoutePlan {
     radix: usize,
     stages: usize,
@@ -387,30 +387,8 @@ pub struct RoutePlan {
     /// switch — the neighbouring output — which keeps deflected traffic
     /// deterministic and spread across the crossbar.
     alternates: Vec<OutputPort>,
-    /// Departure-route queries served so far. Atomic (relaxed) so
-    /// concurrent backpressure probes from sharded stage islands can
-    /// count without synchronization; the total stays deterministic.
-    queries: AtomicU64,
-}
-
-impl Clone for RoutePlan {
-    fn clone(&self) -> Self {
-        RoutePlan {
-            radix: self.radix,
-            stages: self.stages,
-            size: self.size,
-            per_stage: self.per_stage,
-            entries: self.entries.clone(),
-            next_hops: self.next_hops.clone(),
-            outputs: self.outputs.clone(),
-            sinks: self.sinks.clone(),
-            alternates: self.alternates.clone(),
-            // ordering: Relaxed — clone takes a point-in-time snapshot of
-            // a pure statistics counter; no other memory is published
-            // through it, so no acquire/release pairing is needed.
-            queries: AtomicU64::new(self.queries.load(Ordering::Relaxed)),
-        }
-    }
+    /// Departure-route queries served so far.
+    queries: Cell<u64>,
 }
 
 impl RoutePlan {
@@ -461,7 +439,7 @@ impl RoutePlan {
             outputs,
             sinks,
             alternates,
-            queries: AtomicU64::new(0),
+            queries: Cell::new(0),
         }
     }
 
@@ -498,12 +476,7 @@ impl RoutePlan {
         output: OutputPort,
         dest: NodeId,
     ) -> HopRoute {
-        // ordering: Relaxed — a pure event count with no dependent data.
-        // Atomic RMW keeps the total exact under concurrent phase-A
-        // island probes; the pool's phase barrier (mutex + condvar)
-        // orders it before any cross-thread read, so the deterministic
-        // total needs no stronger ordering here.
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.queries.set(self.queries.get() + 1);
         let per_stage = self.per_stage;
         let (next_switch, next_port) =
             self.next_hops[(stage * per_stage + switch) * self.radix + output.index()];
@@ -512,38 +485,6 @@ impl RoutePlan {
             next_port,
             next_output: self.route_output(stage + 1, dest),
         }
-    }
-
-    /// [`RoutePlan::departure_route`] without the query-counter bump:
-    /// the per-candidate backpressure probe calls this and batches its
-    /// count into one [`RoutePlan::count_queries`] per switch per cycle,
-    /// turning ~`radix`-squared atomic RMWs per switch into one. The
-    /// total stays exact — the counter is only read between cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is the last stage or any index is out of range.
-    pub(crate) fn departure_route_uncounted(
-        &self,
-        stage: usize,
-        switch: usize,
-        output: OutputPort,
-        dest: NodeId,
-    ) -> HopRoute {
-        let (next_switch, next_port) =
-            self.next_hops[(stage * self.per_stage + switch) * self.radix + output.index()];
-        HopRoute {
-            next_switch,
-            next_port,
-            next_output: self.route_output(stage + 1, dest),
-        }
-    }
-
-    /// Adds `n` batched [`RoutePlan::departure_route_uncounted`] queries
-    /// to the counter behind [`RoutePlan::route_queries`].
-    pub(crate) fn count_queries(&self, n: u64) {
-        // ordering: Relaxed — same pure event count as `departure_route`.
-        self.queries.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The alternate (deflection) output adaptive recovery tries at
@@ -572,10 +513,7 @@ impl RoutePlan {
 
     /// How many times [`RoutePlan::departure_route`] has been called.
     pub fn route_queries(&self) -> u64 {
-        // ordering: Relaxed — readers call this between cycles or after a
-        // run, past the pool's phase barrier; the barrier's mutex already
-        // ordered every increment before this load.
-        self.queries.load(Ordering::Relaxed)
+        self.queries.get()
     }
 
     /// Number of stages the plan covers.

@@ -16,10 +16,9 @@
 //!
 //! Because one cycle of a switch is a pure function of its own state and
 //! the `can_send` answers (see the determinism note on
-//! [`Switch::transmit_cycle`]), hosts may arbitrate many switches
-//! concurrently — `damq-net`'s sharded stepping
-//! (`NetworkSim::with_threads`) does exactly that, with all shared-state
-//! mutation deferred to a serial merge phase.
+//! [`Switch::transmit_cycle`]), a host may arbitrate a whole stage before
+//! applying any departure — `damq-net`'s stage loop does exactly that,
+//! deferring every downstream receive to a merge after arbitration.
 //!
 //! # Examples
 //!

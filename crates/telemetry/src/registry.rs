@@ -21,8 +21,8 @@
 //! * [`MetricsRegistry::snapshot_json`] serialises everything — counter
 //!   values, histogram counts and percentiles — as integers in
 //!   registration order, so a snapshot is byte-deterministic and the
-//!   serial-vs-N-thread equivalence suite can compare snapshots
-//!   literally.
+//!   `obs-smoke` gate can compare it literally against a committed
+//!   golden.
 //!
 //! All values live in the simulation domain (cycles, packets, slots);
 //! wall-clock never enters this module. Every registered name must

@@ -5,14 +5,12 @@
 //! `Box < dyn SwitchBuffer >` and friends no longer slip through
 //! whitespace). Lints 8–12 are new:
 //!
-//! 8. **unsafe-audit** — every `unsafe` block/impl/fn/trait carries a
-//!    `// SAFETY:` justification; every workspace crate except
-//!    `damq-shard` declares `#![forbid(unsafe_code)]`; every atomic
-//!    `Ordering::…` choice on the simulation path carries an
-//!    `// ordering:` justification; and the generated
-//!    `docs/UNSAFE_LEDGER.md` inventory is current.
+//! 8. **unsafe-audit** — no `unsafe` block/impl/fn/trait anywhere in
+//!    the workspace; every workspace crate root declares
+//!    `#![forbid(unsafe_code)]`; every atomic `Ordering::…` choice on
+//!    the simulation path carries an `// ordering:` justification.
 //! 9. **determinism** — the simulation-path crates (core, switch, net,
-//!    shard, telemetry) must not use `HashMap`/`HashSet` (iteration
+//!    telemetry) must not use `HashMap`/`HashSet` (iteration
 //!    order is nondeterministic), `Instant`/`SystemTime` (wall-clock),
 //!    or thread identity (`thread::current`, `ThreadId`); waivers carry
 //!    `// lint: allow — why`.
@@ -44,16 +42,12 @@
 use std::fs;
 use std::path::PathBuf;
 
-use super::ledger;
 use super::lexer::{Token, TokenKind};
 use super::tree;
 use super::{Finding, SourceFile, Workspace};
 
 /// The comment marker that waives a lint for one site.
 pub const ALLOW_MARKER: &str = "lint: allow";
-
-/// The comment marker lint 8 requires on every `unsafe` site.
-pub const SAFETY_MARKER: &str = "SAFETY:";
 
 /// The comment marker lint 8 requires on every atomic-ordering site.
 pub const ORDERING_MARKER: &str = "ordering:";
@@ -68,20 +62,16 @@ const MONOMORPHIC_CRATES: [&str; 2] = ["crates/switch/src/", "crates/net/src/"];
 const MUST_USE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
 
 /// Crates whose every `src/` module must open with a `//!` overview.
-const MODULE_DOC_CRATES: [&str; 2] = ["crates/net/src/", "crates/shard/src/"];
+const MODULE_DOC_CRATES: [&str; 1] = ["crates/net/src/"];
 
 /// The simulation-path crates lints 8 (orderings) and 9 (determinism)
 /// guard: everything a deterministic run's bytes flow through.
-pub const SIM_PATH_CRATES: [&str; 5] = [
+const SIM_PATH_CRATES: [&str; 4] = [
     "crates/core/src/",
     "crates/switch/src/",
     "crates/net/src/",
-    "crates/shard/src/",
     "crates/telemetry/src/",
 ];
-
-/// The one crate allowed to contain `unsafe` (the phase pool).
-pub const UNSAFE_CRATE_DIR: &str = "crates/shard";
 
 /// A lint pass: appends findings for one structural rule.
 pub type LintFn = fn(&Workspace, &mut Vec<Finding>);
@@ -194,7 +184,7 @@ fn has_inner_attr(code: &[Token], name: &str, arg: &str) -> bool {
 }
 
 /// Lint 3: every library crate root carries `#![deny(missing_docs)]`,
-/// and every module of the sharded simulation core opens with a `//!`
+/// and every module of the network simulator opens with a `//!`
 /// overview.
 fn docs_mandatory(ws: &Workspace, findings: &mut Vec<Finding>) {
     for (dir, _name) in &ws.crates {
@@ -222,7 +212,7 @@ fn docs_mandatory(ws: &Workspace, findings: &mut Vec<Finding>) {
                     1,
                     format!(
                         "modules under {prefix} must open with a //! overview \
-                         (what the module is and how it fits the sharded core)"
+                         (what the module is and how it fits the simulator)"
                     ),
                 ));
             }
@@ -445,39 +435,30 @@ pub fn atomic_ordering_sites(file: &SourceFile) -> Vec<(usize, &'static str)> {
 
 /// Lint 8: the unsafe audit.
 ///
-/// * Every `unsafe` block / `unsafe impl` / `unsafe fn` / `unsafe trait`
-///   anywhere in the workspace carries a `// SAFETY:` justification on
-///   the same line or in the contiguous comment block directly above.
-/// * Every workspace crate root except `damq-shard`'s declares
-///   `#![forbid(unsafe_code)]` — the compiler, not the lint, then
-///   guarantees the inventory below cannot silently grow.
+/// * No `unsafe` block / `unsafe impl` / `unsafe fn` / `unsafe trait`
+///   anywhere in the workspace — integration tests, benches and
+///   examples included, which no crate-root attribute covers.
+/// * Every workspace crate root declares `#![forbid(unsafe_code)]`, so
+///   the compiler, not the lint, keeps the library code unsafe-free.
 /// * Every atomic `Ordering::…` use in the simulation-path crates
 ///   carries an `// ordering:` justification (Relaxed vs Acquire/Release
-///   is an invariant-bearing choice; see `docs/UNSAFE_LEDGER.md`).
-/// * The committed `docs/UNSAFE_LEDGER.md` equals the freshly generated
-///   inventory — run `cargo xtask unsafe-ledger` after any change.
+///   is an invariant-bearing choice).
 fn unsafe_audit(ws: &Workspace, findings: &mut Vec<Finding>) {
     for file in &ws.files {
         for site in tree::unsafe_sites(&file.code) {
-            if !file.comment_marker_at(site.line, SAFETY_MARKER) {
-                findings.push(finding(
-                    file,
-                    site.line,
-                    format!(
-                        "{} without a '// {SAFETY_MARKER} …' justification on the \
-                         same line or directly above (`{}`)",
-                        site.kind.label(),
-                        site.summary
-                    ),
-                ));
-            }
+            findings.push(finding(
+                file,
+                site.line,
+                format!(
+                    "{} in a workspace that forbids unsafe code (`{}`)",
+                    site.kind.label(),
+                    site.summary
+                ),
+            ));
         }
     }
 
     for (dir, name) in &ws.crates {
-        if dir == UNSAFE_CRATE_DIR {
-            continue;
-        }
         let src = if dir == "." {
             "src".to_owned()
         } else {
@@ -493,10 +474,7 @@ fn unsafe_audit(ws: &Workspace, findings: &mut Vec<Finding>) {
             findings.push(finding(
                 file,
                 1,
-                format!(
-                    "crate root of `{name}` must carry #![forbid(unsafe_code)] — \
-                     only crates/shard (the phase pool) may contain unsafe"
-                ),
+                format!("crate root of `{name}` must carry #![forbid(unsafe_code)]"),
             ));
         }
     }
@@ -511,33 +489,17 @@ fn unsafe_audit(ws: &Workspace, findings: &mut Vec<Finding>) {
                         format!(
                             "atomic Ordering::{variant} without a \
                              '// {ORDERING_MARKER} …' justification — say why this \
-                             ordering is strong enough (see docs/UNSAFE_LEDGER.md)"
+                             ordering is strong enough"
                         ),
                     ));
                 }
             }
         }
     }
-
-    let expected = ledger::generate(ws);
-    let ledger_path = ws.root.join(ledger::LEDGER_REL);
-    match fs::read_to_string(&ledger_path) {
-        Ok(actual) if actual == expected => {}
-        Ok(_) => findings.push(Finding {
-            path: ledger_path,
-            line: 1,
-            message: "stale unsafe ledger — regenerate with `cargo xtask unsafe-ledger`".into(),
-        }),
-        Err(_) => findings.push(Finding {
-            path: ledger_path,
-            line: 0,
-            message: "missing unsafe ledger — generate with `cargo xtask unsafe-ledger`".into(),
-        }),
-    }
 }
 
-/// Lint 9: determinism on the simulation path. Serial and N-thread runs
-/// must be byte-identical, so the crates the simulation's bytes flow
+/// Lint 9: determinism on the simulation path. A run must replay
+/// byte-identically from its seed, so the crates the simulation's bytes flow
 /// through must not consult nondeterministic sources: hash-order
 /// iteration (`HashMap`/`HashSet` — use `BTreeMap`/`BTreeSet` or index
 /// vectors), wall-clock time (`Instant`/`SystemTime`), or thread
@@ -971,21 +933,36 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_audit_requires_safety_comment() {
-        let ws = ws_with(vec![(
-            "crates/shard/src/x.rs",
-            "// SAFETY: justified.\nunsafe impl Send for A {}\nunsafe impl Sync for A {}\n",
-        )]);
-        let mut findings = Vec::new();
-        for file in &ws.files {
-            for site in tree::unsafe_sites(&file.code) {
-                if !file.comment_marker_at(site.line, SAFETY_MARKER) {
-                    findings.push((site.line, site.summary));
-                }
-            }
-        }
-        assert_eq!(findings.len(), 1, "the Sync impl has no SAFETY above it");
-        assert_eq!(findings[0].0, 3);
+    fn unsafe_audit_flags_every_site_and_unforbidden_roots() {
+        // The keyword is spelled through a placeholder so this file holds
+        // no unsafe-looking code of its own.
+        let a = "#![forbid(unsafe_code)]\n// SAFETY: a comment no longer waives.\n\
+                 KW impl Send for A {}\n"
+            .replace("KW", "unsafe");
+        let t = "fn t() { KW { g() } }\n".replace("KW", "unsafe");
+        let mut ws = ws_with(vec![
+            ("crates/a/src/lib.rs", &a),
+            ("crates/b/src/lib.rs", "pub fn f() {}\n"),
+            ("crates/b/tests/t.rs", &t),
+        ]);
+        ws.crates = vec![
+            ("crates/a".to_owned(), "a".to_owned()),
+            ("crates/b".to_owned(), "b".to_owned()),
+        ];
+        let findings = run(unsafe_audit, &ws);
+        let at: Vec<(&str, usize)> = findings
+            .iter()
+            .map(|f| (f.path.to_str().unwrap(), f.line))
+            .collect();
+        assert_eq!(
+            at,
+            [
+                ("crates/a/src/lib.rs", 3),
+                ("crates/b/tests/t.rs", 1),
+                ("crates/b/src/lib.rs", 1),
+            ],
+            "both unsafe sites and b's unforbidden root"
+        );
     }
 
     #[test]

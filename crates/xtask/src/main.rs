@@ -1,18 +1,16 @@
-//! Workspace task driver: `cargo xtask lint` and `cargo xtask
-//! unsafe-ledger`.
+//! Workspace task runner: `cargo xtask lint`.
 //!
 //! The analysis itself lives in the [`analyze`] module — a hand-rolled
-//! lexer, a brace tree, ten structural lints and the generated
-//! `docs/UNSAFE_LEDGER.md` inventory. The twelve lints (details in
-//! `docs/VERIFICATION.md` § Static analysis):
+//! lexer, a brace tree and the structural lints. The twelve lints
+//! (details in `docs/VERIFICATION.md` § Static analysis):
 //!
 //! 1. **No panics in simulator library code** (`crates/core`,
 //!    `crates/net`) — propagate `Result`; waivable.
 //! 2. **No unseeded randomness outside `crates/rng`** — `from_entropy`,
 //!    `thread_rng`, `rand::random` make experiments irreproducible.
 //! 3. **Documentation is mandatory** — `#![deny(missing_docs)]` on every
-//!    library crate root; `//!` overviews on every module of the sharded
-//!    core (`crates/net`, `crates/shard`).
+//!    library crate root; `//!` overviews on every module of the network
+//!    simulator (`crates/net`).
 //! 4. **No stdout/stderr printing in library code** — binaries,
 //!    benches and xtask are exempt.
 //! 5. **No `Box<dyn SwitchBuffer>` on the simulation data path**
@@ -21,10 +19,9 @@
 //! 6. **Consuming builder methods carry `#[must_use]`** (`crates/core`,
 //!    `crates/net`).
 //! 7. **No dead intra-repo markdown links** (root `*.md` and `docs/`).
-//! 8. **Unsafe audit** — every `unsafe` site carries `// SAFETY:`; every
-//!    crate except `crates/shard` forbids unsafe at the root; atomic
-//!    `Ordering` choices on the sim path carry `// ordering:`; the
-//!    generated `docs/UNSAFE_LEDGER.md` is current.
+//! 8. **Unsafe audit** — no `unsafe` site anywhere; every crate root
+//!    forbids unsafe code; atomic `Ordering` choices on the sim path
+//!    carry `// ordering:`.
 //! 9. **Determinism** — no `HashMap`/`HashSet`, wall-clock time, or
 //!    thread identity in the sim-path crates; waivable.
 //! 10. **Metric docs** — every metric name registered on the telemetry
@@ -40,12 +37,11 @@
 
 mod analyze;
 
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-use analyze::{ledger, lints, Workspace};
+use analyze::{lints, Workspace};
 
 /// Clippy invocation pinned here so CI and dev runs agree.
 const CLIPPY_ARGS: [&str; 7] = [
@@ -62,15 +58,12 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(args.iter().any(|a| a == "--no-cargo")),
-        Some("unsafe-ledger") => unsafe_ledger(),
         Some("--help" | "-h") | None => {
-            eprintln!("usage: cargo xtask <lint [--no-cargo] | unsafe-ledger>");
+            eprintln!("usage: cargo xtask lint [--no-cargo]");
             ExitCode::from(2)
         }
         Some(other) => {
-            eprintln!(
-                "unknown task '{other}' (usage: cargo xtask <lint [--no-cargo] | unsafe-ledger>)"
-            );
+            eprintln!("unknown task '{other}' (usage: cargo xtask lint [--no-cargo])");
             ExitCode::from(2)
         }
     }
@@ -120,24 +113,6 @@ fn lint(no_cargo: bool) -> ExitCode {
     } else {
         eprintln!("xtask lint: all checks passed");
         ExitCode::SUCCESS
-    }
-}
-
-/// Regenerates `docs/UNSAFE_LEDGER.md` from the current tree.
-fn unsafe_ledger() -> ExitCode {
-    let root = workspace_root();
-    let ws = Workspace::load(&root);
-    let rendered = ledger::generate(&ws);
-    let path = root.join(ledger::LEDGER_REL);
-    match fs::write(&path, &rendered) {
-        Ok(()) => {
-            eprintln!("xtask unsafe-ledger: wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: failed to write {}: {e}", path.display());
-            ExitCode::FAILURE
-        }
     }
 }
 

@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # The repo's offline quality gate: static analysis (twelve structural
-# lints + unsafe ledger + clippy + rustfmt), build, the full test suite
-# (with and without per-operation invariant audits), the exhaustive 2x2
-# model checker, the fault-injection smoke (self-healing harness +
-# resume), the observability smoke (metrics-registry golden + disabled
-# overhead), the chaos soak smoke (recovery protocols under randomized
-# fault storms, minimized-reproducer loop), sanitizer smokes (miri +
-# TSan, probed and skipped with a note
-# where the toolchain lacks them), and rustdoc with warnings denied
-# (`#![deny(missing_docs)]` in the crates turns any missing doc into a
-# hard failure here).
+# lints + clippy + rustfmt), build, the full test suite (with and
+# without per-operation invariant audits), the exhaustive 2x2 model
+# checker, the fault-injection smoke (self-healing harness + resume),
+# the observability smoke (metrics-registry golden + disabled overhead),
+# the SoA hot-path smoke, the chaos soak smoke (recovery protocols under
+# randomized fault storms, minimized-reproducer loop), and rustdoc with
+# warnings denied (`#![deny(missing_docs)]` in the crates turns any
+# missing doc into a hard failure here).
 #
 # Every gate propagates its exit code: `set -euo pipefail` aborts on the
 # first failing command (including inside pipelines), and the ERR trap
@@ -18,11 +16,9 @@
 # Usage: scripts/check.sh                  # run every gate
 #        scripts/check.sh analyze          # just the static-analysis gate
 #        scripts/check.sh fault-smoke      # just the fault-injection smoke
-#        scripts/check.sh parallel-smoke   # just the sharded-stepping smoke
 #        scripts/check.sh obs-smoke        # just the observability smoke
 #        scripts/check.sh soa-smoke        # just the SoA hot-path smoke
 #        scripts/check.sh chaos-smoke      # just the chaos soak smoke
-#        scripts/check.sh sanitizer-smoke  # miri + TSan, skip when unsupported
 set -Eeuo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,20 +63,6 @@ fault_smoke() {
     # The assembled report still carries every cell of the grid.
     [ "$(grep -c '"buffer":' "$report")" -eq "$total" ]
     rm -rf "$tmp"
-}
-
-# Satellite gate: the sharded simulation core must be byte-identical to
-# serial stepping. Asserts (1) the 2-thread fingerprint test (metrics,
-# residual state and the full JSONL trace equal the serial run); (2) the
-# parallel_scaling harness's own smoke cross-check through the release
-# binary, exercising the real phase pool.
-parallel_smoke() {
-    gate "parallel-smoke: 2-thread run is byte-identical to serial"
-    cargo test -q -p damq-net --test parallel_equivalence -- two_thread
-
-    gate "parallel-smoke: scaling harness smoke agrees"
-    cargo run -q --release -p damq-bench --bin parallel_scaling -- --smoke \
-        > /dev/null
 }
 
 # Satellite gate: the observability layer. Asserts (1) the obs_report
@@ -147,56 +129,15 @@ chaos_smoke() {
 }
 
 # Tentpole gate: the in-tree static analyzer. The twelve structural lints
-# (lexer-backed, no regex) must report zero findings, the generated
-# unsafe ledger must be fresh, and — in the full run — clippy and
-# rustfmt must agree. The bare-lint pass is budgeted at ~2s so it stays
+# (lexer-backed, no regex) must report zero findings, and — in the full
+# run — clippy and rustfmt must agree. The bare-lint pass is budgeted at ~2s so it stays
 # cheap enough to run on every edit; the xtask prints per-lint timings.
 analyze() {
-    gate "analyze: twelve structural lints + unsafe-ledger freshness"
+    gate "analyze: twelve structural lints"
     cargo xtask lint --no-cargo
 
     gate "analyze: clippy + rustfmt"
     cargo xtask lint
-}
-
-# Satellite gate: dynamic race detectors over the one crate that holds
-# unsafe code (damq-shard) and the sharded fingerprint test. Both
-# tools need toolchain components this offline image may not carry, so
-# each leg probes first and skips with a note instead of failing —
-# the loom-lite model checker (`crates/shard/src/model.rs`, run by the
-# ordinary test gate) carries the schedule-interleaving claims either
-# way.
-sanitizer_smoke() {
-    gate "sanitizer-smoke: miri over damq-shard"
-    if cargo +nightly miri --version > /dev/null 2>&1; then
-        cargo +nightly miri test -q -p damq-shard
-    elif cargo miri --version > /dev/null 2>&1; then
-        cargo miri test -q -p damq-shard
-    else
-        echo "  SKIPPED: miri component not installed (offline host)."
-        echo "  The exhaustive model checker in crates/shard/src/model.rs"
-        echo "  covers the pool's interleaving claims in its place."
-    fi
-
-    gate "sanitizer-smoke: ThreadSanitizer over the 2-thread fingerprint"
-    # TSan is only sound with an instrumented libstd (-Zbuild-std, which
-    # needs the nightly rust-src component): Rust's futex-based Mutex
-    # and Condvar live inside libstd, so an uninstrumented build hides
-    # every lock-ordering edge from TSan and each mutex-guarded handoff
-    # is reported as a false-positive race (measured: ~100 warnings on
-    # this suite).
-    if rustup component list --toolchain nightly 2> /dev/null \
-        | grep -q 'rust-src.*(installed)'; then
-        local host
-        host="$(rustc -vV | awk '/^host:/ { print $2 }')"
-        RUSTFLAGS="-Zsanitizer=thread" \
-            cargo +nightly test -q -Zbuild-std --target "$host" \
-            -p damq-net --test parallel_equivalence -- two_thread
-    else
-        echo "  SKIPPED: nightly rust-src not installed; TSan without"
-        echo "  -Zbuild-std cannot see libstd's futex-based lock edges"
-        echo "  and reports false positives on every Mutex handoff."
-    fi
 }
 
 case "${1:-all}" in
@@ -208,11 +149,6 @@ analyze)
 fault-smoke)
     fault_smoke
     echo "fault-smoke passed"
-    exit 0
-    ;;
-parallel-smoke)
-    parallel_smoke
-    echo "parallel-smoke passed"
     exit 0
     ;;
 obs-smoke)
@@ -230,14 +166,9 @@ chaos-smoke)
     echo "chaos-smoke passed"
     exit 0
     ;;
-sanitizer-smoke)
-    sanitizer_smoke
-    echo "sanitizer-smoke passed"
-    exit 0
-    ;;
 all) ;;
 *)
-    echo "usage: scripts/check.sh [analyze|fault-smoke|parallel-smoke|obs-smoke|soa-smoke|chaos-smoke|sanitizer-smoke]" >&2
+    echo "usage: scripts/check.sh [analyze|fault-smoke|obs-smoke|soa-smoke|chaos-smoke]" >&2
     exit 2
     ;;
 esac
@@ -269,15 +200,11 @@ cargo bench -p damq-bench --bench sim_throughput -- --smoke
 
 fault_smoke
 
-parallel_smoke
-
 obs_smoke
 
 soa_smoke
 
 chaos_smoke
-
-sanitizer_smoke
 
 gate "rustdoc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -41,6 +41,7 @@ mod metrics;
 mod network;
 mod runner;
 mod saturation;
+mod source;
 pub mod theory;
 mod topology;
 mod traffic;

@@ -19,15 +19,13 @@
 //! flow-control cost the paper describes). Under the *discarding* protocol
 //! packets always fly and are dropped at full buffers.
 
-use std::collections::VecDeque;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use damq_core::{
     AnyBuffer, AuditError, BufferKind, BuildBuffer, ConfigError, FaultEvent, FaultLedger,
-    FaultPlan, FrontMeta, InputPort, NodeId, OutputPort, Packet, PacketId, PacketIdSource,
-    RejectReason, SwitchBuffer, DEFAULT_SLOT_BYTES,
+    FaultPlan, FrontMeta, InputPort, NodeId, OutputPort, Packet, PacketIdSource, RejectReason,
+    SwitchBuffer, DEFAULT_SLOT_BYTES,
 };
 use damq_switch::{ArbiterPolicy, CycleSink, FlowControl, Switch, SwitchConfig};
 use damq_telemetry::{
@@ -35,6 +33,7 @@ use damq_telemetry::{
 };
 
 use crate::metrics::NetMetrics;
+use crate::source::{PendingPacket, SourceQueue};
 use crate::topology::{HopRoute, RoutePlan, Topology, TopologyError, TopologyKind};
 use crate::traffic::TrafficPattern;
 
@@ -80,6 +79,17 @@ impl PacketLengths {
             PacketLengths::Uniform { min, max } => rng.random_range(min..=max),
         }
     }
+
+    /// Whether every length this draws is in `1..=u32::MAX` bytes (a
+    /// packet carries at least one byte and its length register is 32
+    /// bits) and the range is non-empty.
+    fn is_valid(&self) -> bool {
+        let (min, max) = match *self {
+            PacketLengths::Fixed(bytes) => (bytes, bytes),
+            PacketLengths::Uniform { min, max } => (min, max),
+        };
+        1 <= min && min <= max && u32::try_from(max).is_ok()
+    }
 }
 
 /// Error constructing a [`NetworkSim`].
@@ -90,6 +100,9 @@ pub enum NetworkError {
     Topology(TopologyError),
     /// The per-switch buffer configuration is invalid.
     Buffer(ConfigError),
+    /// The packet lengths can draw 0 bytes or more than `u32::MAX` bytes,
+    /// or the `Uniform` range is empty (`min > max`).
+    PacketLengths(PacketLengths),
 }
 
 impl std::fmt::Display for NetworkError {
@@ -97,6 +110,11 @@ impl std::fmt::Display for NetworkError {
         match self {
             NetworkError::Topology(e) => write!(f, "topology: {e}"),
             NetworkError::Buffer(e) => write!(f, "buffer: {e}"),
+            NetworkError::PacketLengths(lengths) => write!(
+                f,
+                "packet lengths {lengths:?}: every length must be 1..={} bytes with min <= max",
+                u32::MAX
+            ),
         }
     }
 }
@@ -106,6 +124,7 @@ impl std::error::Error for NetworkError {
         match self {
             NetworkError::Topology(e) => Some(e),
             NetworkError::Buffer(e) => Some(e),
+            NetworkError::PacketLengths(_) => None,
         }
     }
 }
@@ -356,7 +375,9 @@ impl NetworkConfig {
         self
     }
 
-    /// Selects the packet-length distribution.
+    /// Selects the packet-length distribution. Building the simulator
+    /// returns [`NetworkError::PacketLengths`] unless every length it can
+    /// draw is in `1..=u32::MAX` bytes.
     #[must_use]
     pub fn packet_lengths(mut self, lengths: PacketLengths) -> Self {
         self.packet_lengths = lengths;
@@ -851,36 +872,6 @@ impl CycleSink for InteriorStageSink<'_, '_> {
     }
 }
 
-/// A generated packet waiting at its source, in compact form.
-///
-/// Holds exactly the identity a [`Packet`] is built from — serial,
-/// destination, length, birth cycle — plus the corruption flag a fault
-/// plan may have stamped at generation time. `materialize` rebuilds the
-/// identical `Packet` (the source is the queue index), so deferring
-/// construction to injection time is unobservable.
-#[derive(Debug, Clone, Copy)]
-struct PendingPacket {
-    serial: u64,
-    birth_cycle: u64,
-    dest: u32,
-    length_bytes: u32,
-    corrupt: bool,
-}
-
-impl PendingPacket {
-    fn materialize(self, source: usize) -> Packet {
-        let mut packet = Packet::builder(NodeId::new(source), NodeId::new(self.dest as usize))
-            .id(PacketId::new(self.serial))
-            .length_bytes(self.length_bytes as usize)
-            .birth_cycle(self.birth_cycle)
-            .build();
-        if self.corrupt {
-            packet.corrupt_payload();
-        }
-        packet
-    }
-}
-
 /// The simulator: a grid of switches, source queues and sinks.
 ///
 /// `NetworkSim` is generic over two axes:
@@ -906,13 +897,13 @@ pub struct NetworkSim<B: SwitchBuffer = AnyBuffer, S: TelemetrySink<Event> = Nul
     plan: RoutePlan,
     /// `switches[stage][index]`.
     switches: Vec<Vec<Switch<B>>>,
-    /// Generated-but-not-yet-injected packets, held in compact form —
-    /// the full [`Packet`] (including its identity checksum) is
-    /// materialized at injection time. Past saturation these queues grow
-    /// without bound, so the compact record (32 bytes vs a full packet)
-    /// halves the steady-state working set, and the packets the window
-    /// never injects are never built at all.
-    source_queues: Vec<VecDeque<PendingPacket>>,
+    /// Generated-but-not-yet-injected packets, one queue per source. The
+    /// full [`Packet`] (including its identity checksum) is materialized
+    /// at injection time, so packets the window never injects are never
+    /// built. Past saturation these queues grow without bound, so all but
+    /// each head are delta-coded at about 4 bytes a packet (see
+    /// [`SourceQueue`]).
+    source_queues: Vec<SourceQueue>,
     /// On/off state per source (always `true` under Bernoulli arrivals).
     source_on: Vec<bool>,
     /// Reused per-stage backpressure snapshot
@@ -1041,9 +1032,10 @@ impl NetworkSim {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if the topology dimensions are invalid or
+    /// Returns [`NetworkError`] if the topology dimensions are invalid,
     /// the buffer configuration is rejected (e.g. SAMQ slots not divisible
-    /// by the radix).
+    /// by the radix), or the packet lengths can draw 0 bytes or more than
+    /// `u32::MAX` bytes.
     pub fn new(config: NetworkConfig) -> Result<Self, NetworkError> {
         Self::with_sink(config, NullSink)
     }
@@ -1066,9 +1058,10 @@ impl<S: TelemetrySink<Event>> NetworkSim<AnyBuffer, S> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if the topology dimensions are invalid or
+    /// Returns [`NetworkError`] if the topology dimensions are invalid,
     /// the buffer configuration is rejected (e.g. SAMQ slots not divisible
-    /// by the radix).
+    /// by the radix), or the packet lengths can draw 0 bytes or more than
+    /// `u32::MAX` bytes.
     pub fn with_sink(config: NetworkConfig, sink: S) -> Result<Self, NetworkError> {
         Self::typed_with_sink(config, sink)
     }
@@ -1096,6 +1089,9 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     ///
     /// Returns [`NetworkError`] as [`NetworkSim::new`] does.
     pub fn typed_with_sink(config: NetworkConfig, sink: S) -> Result<Self, NetworkError> {
+        if !config.packet_lengths.is_valid() {
+            return Err(NetworkError::PacketLengths(config.packet_lengths));
+        }
         let topology = Topology::build(config.topology_kind, config.size, config.radix)?;
         let plan = RoutePlan::new(&topology);
         let switch_config = SwitchConfig::new(config.radix)
@@ -1120,7 +1116,7 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             topology,
             plan,
             switches,
-            source_queues: vec![VecDeque::new(); config.size],
+            source_queues: vec![SourceQueue::default(); config.size],
             source_on: vec![true; config.size],
             accept_caps: vec![0; per_stage * config.radix * config.radix],
             // Room for two switches' grants up front; the buffer grows to
@@ -1225,7 +1221,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
 
     /// Packets waiting in source queues.
     pub fn source_backlog(&self) -> usize {
-        self.source_queues.iter().map(VecDeque::len).sum()
+        self.source_queues.iter().map(SourceQueue::len).sum()
     }
 
     /// Installs a fault plan, replacing any previous one.
@@ -1764,6 +1760,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
                 serial: self.ids.next_id().serial(),
                 birth_cycle: self.cycle,
                 dest: dest.index() as u32,
+                // Build-time validation keeps every length within u32.
                 length_bytes: length as u32,
                 corrupt: self
                     .faults
@@ -2576,7 +2573,8 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     }
 
     /// Full network audit: buffer structure in every switch, the
-    /// quiescence map, packet conservation, and the fault ledger.
+    /// structure of every source queue, the quiescence map, packet
+    /// conservation, and the fault ledger.
     ///
     /// # Errors
     ///
@@ -2586,6 +2584,9 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             for sw in row {
                 sw.audit()?;
             }
+        }
+        for (src, queue) in self.source_queues.iter().enumerate() {
+            queue.audit(src)?;
         }
         self.audit_quiescence()?;
         self.audit_conservation()?;
@@ -2762,6 +2763,74 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NetworkError::Buffer(_)));
+    }
+
+    fn build_with_lengths(lengths: PacketLengths) -> Result<NetworkSim, NetworkError> {
+        NetworkSim::new(NetworkConfig::new(16, 4).packet_lengths(lengths))
+    }
+
+    #[test]
+    fn zero_byte_packet_lengths_are_rejected_at_build() {
+        for lengths in [
+            PacketLengths::Fixed(0),
+            PacketLengths::Uniform { min: 0, max: 8 },
+        ] {
+            let err = build_with_lengths(lengths).unwrap_err();
+            assert_eq!(err, NetworkError::PacketLengths(lengths));
+            assert!(err.to_string().contains("1..=4294967295"), "{err}");
+        }
+        assert!(build_with_lengths(PacketLengths::Uniform { min: 1, max: 8 }).is_ok());
+    }
+
+    #[test]
+    fn empty_uniform_length_range_is_rejected_at_build() {
+        let lengths = PacketLengths::Uniform { min: 9, max: 8 };
+        let err = build_with_lengths(lengths).unwrap_err();
+        assert_eq!(err, NetworkError::PacketLengths(lengths));
+        assert!(build_with_lengths(PacketLengths::Uniform { min: 8, max: 8 }).is_ok());
+    }
+
+    #[test]
+    fn packet_lengths_past_u32_are_rejected_at_build() {
+        let max = u32::MAX as usize;
+        for lengths in [
+            PacketLengths::Fixed(max + 9),
+            PacketLengths::Uniform {
+                min: 8,
+                max: max + 1,
+            },
+        ] {
+            let err = build_with_lengths(lengths).unwrap_err();
+            assert_eq!(err, NetworkError::PacketLengths(lengths));
+        }
+        // The largest register value is still a valid length.
+        assert!(build_with_lengths(PacketLengths::Fixed(max)).is_ok());
+    }
+
+    /// Pins the source backlog's encoded size on the saturated 64-terminal
+    /// hot-spot shape, where it is the simulator's largest structure.
+    #[test]
+    fn hot_spot_backlog_stays_under_six_bytes_a_packet() {
+        let mut sim = NetworkSim::new(
+            NetworkConfig::new(64, 4)
+                .buffer_kind(BufferKind::Damq)
+                .slots_per_buffer(4)
+                .arbiter_policy(ArbiterPolicy::Smart)
+                .flow_control(FlowControl::Blocking)
+                .traffic(TrafficPattern::paper_hot_spot())
+                .offered_load(0.5)
+                .seed(1),
+        )
+        .unwrap();
+        sim.run(22_000);
+        sim.audit().unwrap();
+        let backlog = sim.source_backlog();
+        assert!(backlog > 300_000, "the hot tree saturates: {backlog}");
+        let bytes: usize = sim.source_queues.iter().map(SourceQueue::tail_bytes).sum();
+        assert!(
+            bytes <= 6 * backlog,
+            "{bytes} tail bytes for {backlog} queued packets"
+        );
     }
 
     #[test]

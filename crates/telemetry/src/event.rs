@@ -192,12 +192,13 @@ pub enum EventKind {
         /// Alternate output queue the packet was deflected into.
         output: u32,
     },
-    /// A deflected packet reached the wrong sink intact and was fed back
-    /// into that terminal's source queue for another traversal.
+    /// A deflected packet reached the wrong sink intact and was parked in
+    /// the retransmit buffer at its true destination's terminal slot, to
+    /// be re-delivered by the retransmit timer.
     Recirculated {
         /// Packet serial number.
         packet: u64,
-        /// Terminal that recirculates the packet.
+        /// The wrong terminal the packet reached.
         sink: u32,
     },
     /// Per-cycle aggregate state, recorded once per cycle while the sink

@@ -640,7 +640,7 @@ const HOT_PATH_CRATES: [&str; 3] = ["crates/core/src/", "crates/switch/src/", "c
 /// steady-state `NetworkSim::step` executes per cycle. Constructors and
 /// cold paths (audits, snapshots, telemetry emission) are exempt —
 /// scratch is *supposed* to be allocated there.
-const KERNEL_FNS: [&str; 13] = [
+const KERNEL_FNS: [&str; 19] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -657,6 +657,14 @@ const KERNEL_FNS: [&str; 13] = [
     "generate",
     "advance_stages",
     "inject",
+    // net: the source backlog each cycle pushes to and pops from, its
+    // varint codec, and the packet build at injection.
+    "push_back",
+    "pop_front",
+    "write_varint",
+    "read_varint",
+    "read_packet",
+    "materialize",
 ];
 
 /// Line spans of every kernel function in `code`, as
@@ -1052,6 +1060,31 @@ mod tests {
              findings; `done.clone` without a call is not"
         );
         assert!(findings[0].message.contains("transmit_cycle_with"));
+    }
+
+    #[test]
+    fn hot_path_alloc_flags_the_source_backlog_kernels() {
+        let ws = ws_with(vec![(
+            "crates/net/src/source.rs",
+            "impl SourceQueue {\n\
+             pub(crate) fn len(&self) -> usize { self.tail.clone().len() }\n\
+             pub(crate) fn push_back(&mut self, packet: PendingPacket) {\n\
+                 let copy = packet.clone();\n\
+             }\n\
+             pub(crate) fn pop_front(&mut self) -> Option<PendingPacket> {\n\
+                 self.head.clone()\n\
+             }\n\
+             }\n\
+             fn read_varint(bytes: &mut VecDeque<u8>) -> Option<u64> {\n\
+                 let b = bytes.clone();\n\
+             }\n",
+        )]);
+        let findings = run(hot_path_alloc, &ws);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![4, 7, 11], "`len` is not a kernel; the rest are");
+        assert!(findings[0].message.contains("`push_back`"));
+        assert!(findings[1].message.contains("`pop_front`"));
+        assert!(findings[2].message.contains("`read_varint`"));
     }
 
     #[test]
